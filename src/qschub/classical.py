@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import perms
 from .errors import ForeignVariables
-from .poly import Poly, Q, X, Y, determinant, monomial, vsplit, x, y
+from .poly import Poly, Q, X, Y, determinant, monomial, x, y
 
 Perm = perms.Perm
 

@@ -5,10 +5,6 @@ class QschubError(Exception):
     """Base class for all errors raised by qschub."""
 
 
-class NotDivisible(QschubError):
-    """Exact division by a linear form left a nonzero remainder."""
-
-
 class NonSquare(QschubError):
     """Determinant of a non-square (or ragged) matrix was requested."""
 
@@ -51,3 +47,11 @@ class NotGrassmannian(QschubError):
 
 class ForeignVariables(QschubError):
     """A polynomial involves variables outside the allowed alphabet."""
+
+
+class ExponentOverflow(QschubError):
+    """A monomial's exponent exceeds the cap of the packed encoding (127)."""
+
+
+class VariableOutOfRange(QschubError, ValueError):
+    """A variable index is below 1 or above the encoding's bound."""

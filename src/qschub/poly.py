@@ -7,61 +7,69 @@ and a1, a2, ... (an auxiliary alphabet used by some identities and by the
 each q counts 2, so the quantum elementary polynomials stay homogeneous.
 
 Internally a polynomial is a dict from monomials to nonzero ints, with the
-heavy dict/tuple work delegated to the selected kernel (see _kernels).
+dict work delegated to the kernel (see _kernels).  A monomial is one int,
+a packed exponent vector with one byte per variable; this module is the only
+one that knows which variable sits in which byte: family f, index i has code
+4*(i-1) + f, so byte k of a monomial's little-endian bytes is the exponent of
+family k % 4, index k // 4 + 1, and the constant monomial is 0.  Exponents
+are capped at 127 (ExponentOverflow) and indices at MAX_INDEX
+(VariableOutOfRange).
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from ._kernels import (
-    KERNEL,
-    mono_mul,
-    padd,
-    pdivdiff,
-    plinear_div,
-    pmul,
-    pscale,
-    pswap,
-    psub,
-)
-from .errors import NonSquare, NotDivisible
+from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul, pscale, pswap, psub
+from .errors import ExponentOverflow, NonSquare, VariableOutOfRange
 
 X, Y, Q, A = 0, 1, 2, 3
 _LETTERS = "xyqa"
 _FAMILY_OF = {letter: fam for fam, letter in enumerate(_LETTERS)}
-_WEIGHT = (1, 1, 2, 1)
+_NFAM = len(_LETTERS)
 
-_SHIFT = 20
-_MASK = (1 << _SHIFT) - 1
+# the largest variable index: a bound on the width of every monomial
+MAX_INDEX = MAX_CODES // _NFAM
 
 # factors inside a printed monomial lead with the deformation parameters,
 # matching the usual way these polynomials are written (q1*x1, not x1*q1)
-_PRINT_RANK = {Q: 0, X: 1, Y: 2, A: 3}
-
-
-def _print_pairs(m: tuple) -> list[tuple[int, int, int]]:
-    pairs = [(vsplit(m[i]), m[i + 1]) for i in range(0, len(m), 2)]
-    pairs.sort(key=lambda it: (_PRINT_RANK[it[0][0]], it[0][1]))
-    return [(fam, idx, e) for (fam, idx), e in pairs]
+_PRINT_ORDER = (Q, X, Y, A)
 
 
 def vcode(family: int, index: int) -> int:
-    """Pack a (family, index) pair into a single kernel variable code."""
-    if index < 1:
-        raise ValueError(f"variable index must be >= 1, got {index}")
-    return (family << _SHIFT) | index
+    """The kernel code of a (family, index) variable: its byte in a monomial."""
+    if not 0 <= family < _NFAM:
+        raise VariableOutOfRange(f"unknown variable family {family}")
+    if not 1 <= index <= MAX_INDEX:
+        raise VariableOutOfRange(f"variable index must be in 1..{MAX_INDEX}, got {index}")
+    return _NFAM * (index - 1) + family
 
 
 def vsplit(code: int) -> tuple[int, int]:
-    return code >> _SHIFT, code & _MASK
+    return code % _NFAM, code // _NFAM + 1
 
 
-def _wdeg(mono: tuple) -> int:
-    d = 0
-    for i in range(0, len(mono), 2):
-        d += _WEIGHT[mono[i] >> _SHIFT] * mono[i + 1]
-    return d
+def _bytes(m: int, n: int | None = None) -> bytes:
+    """The exponents of monomial m, one byte per code (n bytes if given)."""
+    return m.to_bytes((m.bit_length() + 7) >> 3 if n is None else n, "little")
+
+
+def _wdeg(m: int) -> int:
+    b = _bytes(m)
+    return sum(b) + sum(b[Q::_NFAM])  # q counts twice
+
+
+def _codes(m: int) -> list[int]:
+    """The codes of the variables occurring in monomial m."""
+    return [k for k, e in enumerate(_bytes(m)) if e]
+
+
+def _family_mask(family: int, m: int) -> int:
+    """The bytes of every variable of the family, up to monomial m's width."""
+    pattern = bytes(FIELD if f == family else 0 for f in range(_NFAM))
+    return int.from_bytes(pattern * ((m.bit_length() >> 5) + 1), "little")
 
 
 class Poly:
@@ -76,11 +84,11 @@ class Poly:
 
     @staticmethod
     def const(c: int) -> "Poly":
-        return Poly({(): c} if c else {})
+        return Poly({0: c} if c else {})
 
     @staticmethod
     def variable(family: int, index: int) -> "Poly":
-        return Poly({(vcode(family, index), 1): 1})
+        return Poly({1 << WIDTH * vcode(family, index): 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -139,19 +147,12 @@ class Poly:
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, mono: tuple) -> int:
-        return self.terms.get(mono, 0)
-
     def constant_term(self) -> int:
-        return self.terms.get((), 0)
+        return self.terms.get(0, 0)
 
     def variables(self) -> list[tuple[int, int]]:
         """Sorted list of (family, index) pairs occurring in the polynomial."""
-        seen = set()
-        for m in self.terms:
-            for i in range(0, len(m), 2):
-                seen.add(m[i])
-        return [vsplit(c) for c in sorted(seen)]
+        return sorted(vsplit(k) for k in _codes(reduce(or_, self.terms, 0)))
 
     def degree(self) -> int:
         """Largest weighted total degree (0 for the zero polynomial)."""
@@ -167,27 +168,27 @@ class Poly:
 
         Keys are (family, index) pairs; values may be Poly or int.
         """
-        repl = {}
-        for (fam, idx), val in mapping.items():
-            repl[vcode(fam, idx)] = val if isinstance(val, Poly) else Poly.const(val)
+        # a term's replaced factors multiply in (family, index) order
+        repl = [
+            (WIDTH * vcode(fam, idx), val if isinstance(val, Poly) else Poly.const(val))
+            for (fam, idx), val in sorted(mapping.items())
+        ]
         out: dict = {}
         powcache: dict = {}
         for m, c in self.terms.items():
-            kept = []
+            kept = m
             piece: Poly | None = None
-            for i in range(0, len(m), 2):
-                code, e = m[i], m[i + 1]
-                if code in repl:
-                    key = (code, e)
+            for shift, val in repl:
+                e = (m >> shift) & FIELD
+                if e:
+                    kept -= e << shift
+                    key = (shift, e)
                     p = powcache.get(key)
                     if p is None:
-                        p = repl[code] ** e
+                        p = val**e
                         powcache[key] = p
                     piece = p if piece is None else piece * p
-                else:
-                    kept.append(code)
-                    kept.append(e)
-            base = {tuple(kept): c}
+            base = {kept: c}
             out = padd(out, base if piece is None else pmul(base, piece.terms))
         return Poly(out)
 
@@ -196,12 +197,11 @@ class Poly:
 
         Terms containing such a variable are dropped wholesale.
         """
-        out = {}
-        for m, c in self.terms.items():
-            if any(pred(*vsplit(m[i])) for i in range(0, len(m), 2)):
-                continue
-            out[m] = c
-        return Poly(out)
+        dead = 0
+        for k in _codes(reduce(or_, self.terms, 0)):
+            if pred(*vsplit(k)):
+                dead |= FIELD << WIDTH * k
+        return Poly({m: c for m, c in self.terms.items() if not m & dead})
 
     def restrict(self, m: int) -> "Poly":
         """Project to the rank-m ring: x_j -> 0 for j > m, q_j -> 0 for j >= m.
@@ -215,29 +215,22 @@ class Poly:
     def rename_family(self, src: int, dst: int) -> "Poly":
         """Relabel every src-family variable as the dst-family variable of the
         same index; the dst family must not already occur."""
+        width = reduce(or_, self.terms, 0)
+        if width & _family_mask(dst, width):
+            raise ValueError("rename target family already present")
+        moved = _family_mask(src, width)
+        shift = WIDTH * (dst - src)
         out = {}
         for m, c in self.terms.items():
-            pairs = []
-            for i in range(0, len(m), 2):
-                fam, idx = vsplit(m[i])
-                if fam == dst:
-                    raise ValueError("rename target family already present")
-                pairs.append((vcode(dst if fam == src else fam, idx), m[i + 1]))
-            pairs.sort()
-            mm = []
-            for code, e in pairs:
-                mm.append(code)
-                mm.append(e)
-            out[tuple(mm)] = c
+            part = m & moved
+            out[m - part + (part << shift if shift >= 0 else part >> -shift)] = c
         return Poly(out)
 
     def negate_family(self, family: int) -> "Poly":
         """Substitute v -> -v for every variable of the given family."""
-        out = {}
-        for m, c in self.terms.items():
-            tot = sum(m[i + 1] for i in range(0, len(m), 2) if m[i] >> _SHIFT == family)
-            out[m] = -c if tot & 1 else c
-        return Poly(out)
+        return Poly(
+            {m: -c if sum(_bytes(m)[family::_NFAM]) & 1 else c for m, c in self.terms.items()}
+        )
 
     # -- operators ---------------------------------------------------------
 
@@ -249,70 +242,44 @@ class Poly:
         """(f - s_i f) / (v_i - v_{i+1}) acting on the given family."""
         return Poly(pdivdiff(self.terms, vcode(family, i), vcode(family, i + 1)))
 
-    def exact_linear_div(self, i: int, family: int = X) -> "Poly":
-        """Exact quotient by (v_i - v_{i+1}); NotDivisible on remainder."""
-        try:
-            return Poly(plinear_div(self.terms, vcode(family, i), vcode(family, i + 1)))
-        except ValueError as exc:
-            raise NotDivisible(str(exc)) from None
-
     def q_partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to q_i."""
-        code = vcode(Q, i)
-        out: dict = {}
+        shift = WIDTH * vcode(Q, i)
+        one = 1 << shift
+        out = {}
         for m, c in self.terms.items():
-            for k in range(0, len(m), 2):
-                if m[k] == code:
-                    e = m[k + 1]
-                    if e == 1:
-                        mm = m[:k] + m[k + 2 :]
-                    else:
-                        mm = m[:k] + (code, e - 1) + m[k + 2 :]
-                    s = out.get(mm, 0) + c * e
-                    if s:
-                        out[mm] = s
-                    elif mm in out:
-                        del out[mm]
-                    break
+            e = (m >> shift) & FIELD
+            if e:
+                out[m - one] = c * e
         return Poly(out)
 
     # -- rendering ---------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple, int]]:
-        """Terms in display order: weighted degree descending, then lex."""
-
-        def key(item):
-            m = item[0]
-            return (-_wdeg(m), tuple((m[i], -m[i + 1]) for i in range(0, len(m), 2)))
-
-        return sorted(self.terms.items(), key=key)
+    def factored_terms(self) -> list[tuple[list[tuple[int, int, int]], int]]:
+        """(factors, coefficient) per term in display order: weighted degree
+        descending, then lex on the exponents by family x, y, q, a and index.
+        Factors are (family, index, exponent) triples ordered q, x, y, a."""
+        if not self.terms:
+            return []
+        n = _NFAM * ((max(self.terms).bit_length() >> 5) + 1)
+        rows = []
+        for m, c in self.terms.items():
+            b = _bytes(m, n)
+            # the exponents family by family, one byte per index
+            fams = b[X::_NFAM], b[Y::_NFAM], b[Q::_NFAM], b[A::_NFAM]
+            rows.append((sum(b) + sum(fams[Q]), b"".join(fams), c, fams))
+        rows.sort(reverse=True)
+        return [
+            (
+                [(f, i, e) for f in _PRINT_ORDER for i, e in enumerate(fams[f], 1) if e],
+                c,
+            )
+            for _, _, c, fams in rows
+        ]
 
     def text(self, letters: Mapping[int, str] | None = None) -> str:
         """Canonical textual form, e.g. ``3*x1^2*x2 - q1*x1 + 7``."""
-        if not self.terms:
-            return "0"
-        names = list(_LETTERS)
-        if letters:
-            for fam, letter in letters.items():
-                names[fam] = letter
-        chunks: list[str] = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for fam, idx, e in _print_pairs(m):
-                v = f"{names[fam]}{idx}"
-                factors.append(v if e == 1 else f"{v}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(chunks)
+        return _join(self.factored_terms(), _names(letters))
 
     def __str__(self) -> str:
         return self.text()
@@ -322,15 +289,37 @@ class Poly:
 
     def as_json_obj(self, letters: Mapping[int, str] | None = None) -> dict:
         """JSON-friendly form: canonical text plus an explicit term list."""
-        names = list(_LETTERS)
-        if letters:
-            for fam, letter in letters.items():
-                names[fam] = letter
-        terms = []
-        for m, c in self.sorted_terms():
-            mono = [[names[fam], idx, e] for fam, idx, e in _print_pairs(m)]
-            terms.append([mono, c])
-        return {"text": self.text(letters), "terms": terms}
+        names = _names(letters)
+        rows = self.factored_terms()
+        terms = [[[[names[f], i, e] for f, i, e in factors], c] for factors, c in rows]
+        return {"text": _join(rows, names), "terms": terms}
+
+
+def _names(letters: Mapping[int, str] | None) -> list[str]:
+    names = list(_LETTERS)
+    for fam, letter in (letters or {}).items():
+        names[fam] = letter
+    return names
+
+
+def _join(rows, names: list[str]) -> str:
+    if not rows:
+        return "0"
+    chunks: list[str] = []
+    for factors, c in rows:
+        body = "*".join(
+            f"{names[f]}{i}" if e == 1 else f"{names[f]}{i}^{e}" for f, i, e in factors
+        )
+        mag = abs(c)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f" + {body}" if c > 0 else f" - {body}")
+    return "".join(chunks)
 
 
 ZERO = Poly()
@@ -355,9 +344,14 @@ def a(i: int) -> Poly:
 
 def monomial(pairs: Iterable[tuple[int, int, int]], c: int = 1) -> Poly:
     """Build c * prod v_{family,index}^exp from (family, index, exp) triples."""
-    m = ()
+    m = 0
     for fam, idx, e in pairs:
-        m = mono_mul(m, (vcode(fam, idx), e))
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        shift = WIDTH * vcode(fam, idx)
+        if ((m >> shift) & FIELD) + e > MAX_EXP:
+            raise ExponentOverflow(f"exponent of {_LETTERS[fam]}{idx} above {MAX_EXP}")
+        m += e << shift
     return Poly({m: c} if c else {})
 
 
@@ -378,7 +372,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
         raise NonSquare(f"matrix is not square: {n} rows, {[len(r) for r in rows]} columns")
     full = (1 << n) - 1
     # minor(mask) = det of the submatrix on rows popcount..n-1, columns in mask
-    cache: dict[int, dict] = {0: {(): 1}}
+    cache: dict[int, dict] = {0: {0: 1}}
 
     def minor(mask: int) -> dict:
         got = cache.get(mask)
@@ -525,7 +519,7 @@ def parse(s: str) -> Poly:
 
 __all__ = [
     "A",
-    "KERNEL",
+    "MAX_INDEX",
     "ONE",
     "Poly",
     "Q",

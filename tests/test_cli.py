@@ -156,6 +156,13 @@ def test_parse_error_exit(capsys):
     assert "error" in err
     code, _, err = run(capsys, "compute", "qschubert", "--w", "1325")
     assert code == 2
+    # past the packed encoding's bounds: a typed error, never a wrapped value
+    code, _, err = run(capsys, "compute", "quantize", "--poly", "x1^200", "--n", "3")
+    assert code == 2
+    assert "exponent above 127" in err
+    code, _, err = run(capsys, "compute", "quantize", "--poly", "x1048577", "--n", "3")
+    assert code == 2
+    assert "variable index must be in 1..1024" in err
 
 
 def test_missing_required_option(capsys):

@@ -1,157 +1,83 @@
-"""Parity and algebra checks for the polynomial kernels.
+"""Algebra checks for the packed-exponent polynomial kernel.
 
-The compiled kernel and the pure-Python twin must agree bit-for-bit on the
-flat-tuple monomial encoding; the algebraic laws are checked on whichever
-kernel the package selected.
+Polynomials are built through the Poly API, so the monomials are the packed
+ints the library itself produces; the kernel functions then run on their term
+dicts directly.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qschub
-from qschub import _kernels
-from qschub._kernels import pure
-from qschub.poly import Poly, vcode
+from qschub import _kernels, poly
+from qschub._kernels import padd, pdivdiff, pmul, pscale, pswap, psub
+from qschub.poly import A, Q, X, Y, Poly, monomial, vcode, x
 
-try:
-    from qschub._kernels import cyk
-except ImportError:  # pragma: no cover
-    cyk = None
-
-IMPLS = [pure] if cyk is None else [pure, cyk]
-
-XC = [vcode(0, i) for i in range(1, 5)]
-QC = [vcode(2, i) for i in range(1, 4)]
+U, V = vcode(X, 1), vcode(X, 2)
 
 
 @st.composite
-def monomials(draw):
-    codes = draw(
-        st.lists(st.sampled_from(XC + QC), unique=True, min_size=0, max_size=4)
+def monomial_triples(draw):
+    """(family, index, exponent) triples over x1..x4 and q1..q3."""
+    names = draw(
+        st.lists(
+            st.sampled_from([(0, i) for i in range(1, 5)] + [(2, i) for i in range(1, 4)]),
+            unique=True,
+            max_size=4,
+        )
     )
-    codes.sort()
-    out = []
-    for c in codes:
-        out.extend((c, draw(st.integers(min_value=1, max_value=3))))
-    return tuple(out)
+    return [(f, i, draw(st.integers(min_value=1, max_value=3))) for f, i in names]
 
 
 @st.composite
 def polys(draw):
-    n = draw(st.integers(min_value=0, max_value=5))
-    p = {}
-    for _ in range(n):
-        m = draw(monomials())
+    p = Poly()
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
         c = draw(st.integers(min_value=-6, max_value=6).filter(bool))
-        p[m] = c
-    return p
-
-
-@settings(max_examples=120, deadline=None)
-@given(polys(), polys(), st.integers(min_value=-5, max_value=5))
-def test_kernel_parity(p1, p2, c):
-    if cyk is None:
-        pytest.skip("compiled kernel not built")
-    assert pure.padd(p1, p2) == cyk.padd(p1, p2)
-    assert pure.psub(p1, p2) == cyk.psub(p1, p2)
-    assert pure.pscale(p1, c) == cyk.pscale(p1, c)
-    assert pure.pmul(p1, p2) == cyk.pmul(p1, p2)
-    assert pure.pswap(p1, XC[0], XC[1]) == cyk.pswap(p1, XC[0], XC[1])
-    assert pure.pdivdiff(p1, XC[0], XC[1]) == cyk.pdivdiff(p1, XC[0], XC[1])
+        p = p + monomial(draw(monomial_triples()), c)
+    return p.terms
 
 
 @settings(max_examples=60, deadline=None)
-@given(monomials(), monomials())
-def test_mono_mul_parity_and_form(m1, m2):
-    for impl in IMPLS:
-        m = impl.mono_mul(m1, m2)
-        codes = m[0::2]
-        exps = m[1::2]
-        assert list(codes) == sorted(codes)
-        assert all(e > 0 for e in exps)
-    if cyk is not None:
-        assert pure.mono_mul(m1, m2) == cyk.mono_mul(m1, m2)
+@given(monomial_triples(), monomial_triples())
+def test_mono_mul_parity_and_form(t1, t2):
+    # the packed product of two monomials is the monomial of the summed
+    # exponents, and it decodes to positive exponents in print order
+    (m1,), (m2,) = monomial(t1).terms, monomial(t2).terms
+    prod = monomial(t1 + t2)
+    assert prod.terms == {m1 + m2: 1} == pmul({m1: 1}, {m2: 1})
+    ((factors, c),) = prod.factored_terms()
+    assert c == 1
+    assert all(e > 0 for _, _, e in factors)
+    assert factors == sorted(factors, key=lambda t: ((Q, X, Y, A).index(t[0]), t[1]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys())
 def test_ring_laws(p1, p2):
-    for impl in IMPLS:
-        assert impl.padd(p1, p2) == impl.padd(p2, p1)
-        assert impl.psub(impl.padd(p1, p2), p2) == p1
-        assert impl.pmul(p1, p2) == impl.pmul(p2, p1)
-        assert impl.pscale(p1, 0) == {}
+    assert padd(p1, p2) == padd(p2, p1)
+    assert psub(padd(p1, p2), p2) == p1
+    assert pmul(p1, p2) == pmul(p2, p1)
+    assert pscale(p1, 0) == {}
 
 
 @settings(max_examples=80, deadline=None)
 @given(polys())
 def test_swap_involution_and_divdiff(p):
-    u, v = XC[0], XC[1]
-    for impl in IMPLS:
-        assert impl.pswap(impl.pswap(p, u, v), u, v) == p
-        d = impl.pdivdiff(p, u, v)
-        # f - swap(f) == (x_u - x_v) * divdiff(f)
-        lhs = impl.psub(p, impl.pswap(p, u, v))
-        xu_minus_xv = {(u, 1): 1, (v, 1): -1}
-        assert impl.pmul(xu_minus_xv, d) == lhs
-        # divided differences square to zero
-        assert impl.pdivdiff(d, u, v) == {}
-
-
-@settings(max_examples=80, deadline=None)
-@given(polys())
-def test_linear_division_roundtrip(p):
-    u, v = XC[0], XC[1]
-    xu_minus_xv = {(u, 1): 1, (v, 1): -1}
-    for impl in IMPLS:
-        prod = impl.pmul(xu_minus_xv, p)
-        if not prod:
-            continue
-        assert impl.plinear_div(prod, u, v) == p
-
-
-def test_linear_division_rejects_remainder():
-    u, v = XC[0], XC[1]
-    for impl in IMPLS:
-        with pytest.raises(ValueError):
-            impl.plinear_div({(u, 1): 1, (): 1}, u, v)
-
-
-def test_env_forces_pure_kernel():
-    # Where the compiled kernel is not built, the import fallback also gives
-    # "pure" (test_kernel_parity skips there for the same reason); this test
-    # then only shows the env var is honoured and harmless, and it tells the
-    # two apart only where cyk is built.
-    src = Path(qschub.__file__).resolve().parents[1]
-    pythonpath = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    code = (
-        "import qschub, qschub._kernels as k\n"
-        "assert k.pmul is k.pure.pmul\n"
-        "print(qschub.KERNEL)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, QSK_PURE_KERNEL="1", PYTHONPATH=pythonpath),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
-
-
-def test_selected_kernel_is_exposed():
-    assert _kernels.KERNEL in ("pure", "cyk")
-    assert _kernels.pmul is (pure.pmul if _kernels.KERNEL == "pure" else cyk.pmul)
+    assert pswap(pswap(p, U, V), U, V) == p
+    d = pdivdiff(p, U, V)
+    # f - swap(f) == (x_u - x_v) * divdiff(f)
+    lhs = psub(p, pswap(p, U, V))
+    assert pmul((x(1) - x(2)).terms, d) == lhs
+    # divided differences square to zero
+    assert pdivdiff(d, U, V) == {}
 
 
 def test_poly_uses_selected_kernel():
+    # Poly's ring operations go through the kernel's functions by name, so a
+    # wrapper bound in their place sees every call
+    for name in ("padd", "psub", "pscale", "pmul", "pswap", "pdivdiff"):
+        assert getattr(poly, name) is getattr(_kernels, name)
     p = Poly.const(1)
     assert p * p == p

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschub.errors import NonSquare, NotDivisible
+from qschub.errors import ExponentOverflow, NonSquare, VariableOutOfRange
 from qschub.poly import (
     A,
+    MAX_INDEX,
     ONE,
     Poly,
     Q,
@@ -17,6 +18,7 @@ from qschub.poly import (
     ZERO,
     a,
     determinant,
+    monomial,
     parse,
     q,
     vcode,
@@ -61,6 +63,33 @@ def test_codes_roundtrip():
     for fam in (X, Y, Q, A):
         for idx in (1, 2, 57):
             assert vsplit(vcode(fam, idx)) == (fam, idx)
+    # variable (f, i) owns byte 4*(i-1)+f of a monomial
+    assert (q(1) * x(2) ** 3).terms == {(1 << 8 * 2) + (3 << 8 * 4): 1}
+
+
+def test_exponent_cap():
+    assert (x(1) ** 127).text() == "x1^127"
+    assert (x(1) ** 100 * y(1) ** 27 * x(2) ** 127).degree() == 254
+    for big in (lambda: x(1) ** 128, lambda: x(1) ** 64 * (x(1) ** 64 + y(2))):
+        with pytest.raises(ExponentOverflow):
+            big()
+    with pytest.raises(ExponentOverflow):
+        parse("x1^200")
+    with pytest.raises(ExponentOverflow):
+        monomial([(X, 1, 100), (X, 1, 28)])
+
+
+def test_index_bound_no_aliasing():
+    # a wide index never spills into the neighbouring family's field
+    assert parse(f"x{MAX_INDEX}") != parse("y1")
+    assert vsplit(vcode(A, MAX_INDEX)) == (A, MAX_INDEX)
+    for text in ("x1048577", f"y{MAX_INDEX + 1}", "q" + "9" * 4000):
+        with pytest.raises(VariableOutOfRange):
+            parse(text)
+    with pytest.raises(VariableOutOfRange):
+        x(1).divided_diff(MAX_INDEX)
+    with pytest.raises(VariableOutOfRange):
+        Poly.variable(4, 1)  # would be x2's byte
 
 
 def test_text_ordering_and_weights():
@@ -72,6 +101,8 @@ def test_text_ordering_and_weights():
     assert m.text() == "5*q2*x1*y3*a1"
     # higher total weight prints first
     assert (x(1) + x(1) ** 2).text() == "x1^2 + x1"
+    assert (q(2) * x(1) + y(3)).degree() == 3
+    assert (x(1) ** 2 - q(1)).is_homogeneous()
 
 
 def test_text_letters_override():
@@ -155,10 +186,6 @@ def test_determinant():
 
 
 def test_divided_difference_and_division():
-    p = (x(1) - x(2)) * (x(1) + q(1))
-    assert p.exact_linear_div(1) == x(1) + q(1)
-    with pytest.raises(NotDivisible):
-        (x(1) * x(2)).exact_linear_div(1)
     f = x(1) ** 2 * x(2)
     assert f.divided_diff(1) == x(1) * x(2)
     assert f.divided_diff(1).divided_diff(1) == ZERO
