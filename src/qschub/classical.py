@@ -10,7 +10,7 @@ fixed points, and are computed at the minimal rank of w.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from . import perms
 from .errors import ForeignVariables
@@ -44,7 +44,7 @@ def double_staircase(n: int) -> Poly:
     return out
 
 
-@lru_cache(maxsize=None)
+@cache
 def _single_table(n: int) -> dict:
     """S_w for every w in S_n, by peeling right descents from w_0."""
     w0 = perms.longest(n)
@@ -63,7 +63,7 @@ def _single_table(n: int) -> dict:
     return table
 
 
-@lru_cache(maxsize=None)
+@cache
 def _double_table(n: int) -> dict:
     """S_w(x,y) for every w in S_n; left descents peel via y-differences."""
     w0 = perms.longest(n)
@@ -103,7 +103,7 @@ def double_schubert(w: Perm) -> Poly:
 # -- symmetric function bases -------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@cache
 def elem_sym(k: int, r: int, family: int = X) -> Poly:
     """e_k of the first r variables of a family."""
     if k < 0 or k > r:
@@ -115,7 +115,7 @@ def elem_sym(k: int, r: int, family: int = X) -> Poly:
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def complete_sym(k: int, r: int, family: int = X) -> Poly:
     """h_k of the first r variables of a family."""
     if k < 0 or (r == 0 and k > 0):
@@ -186,9 +186,3 @@ def schubert_expand(f: Poly) -> dict:
         layer = nxt
     return out
 
-
-def clear_caches() -> None:
-    _single_table.cache_clear()
-    _double_table.cache_clear()
-    elem_sym.cache_clear()
-    complete_sym.cache_clear()

@@ -13,24 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import classical, perms, quantum, verify
 from .errors import QschubError
-from .poly import Poly, Y, parse
+from .poly import X, Y, Poly, parse
 
 DEFAULT_MAX_N = 6
-
-
-def _max_n_default() -> int:
-    env = os.environ.get("QSK_MAX_N")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_MAX_N
 
 
 def _ints(s: str) -> tuple[int, ...]:
@@ -58,15 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--max-n",
         type=int,
-        default=_max_n_default(),
-        help="rank guard for explicit dimensions (env QSK_MAX_N, default 6)",
-    )
-    ap.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker pool size (this build evaluates sequentially; the flag is "
-        "accepted for interface stability)",
+        default=DEFAULT_MAX_N,
+        help="rank guard for explicit and implied dimensions (default 6)",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
@@ -131,6 +113,15 @@ def _guard(args, *dims: int | None) -> None:
         )
 
 
+def _implied_rank(f: Poly) -> int:
+    """The smallest N whose S_N Schubert polynomials span f: the largest
+    i + e over the factors x_i^e of its terms."""
+    return max(
+        (i + e for factors, _ in f.factored_terms() for fam, i, e in factors if fam == X),
+        default=0,
+    )
+
+
 def _emit_poly(args, p: Poly, **meta) -> int:
     letters = {Y: "a"} if args.alphabet == "a" else None
     if args.format == "json":
@@ -178,7 +169,7 @@ def _cmd_compute(args) -> int:
     if what == "quantize":
         f = parse(need("poly", args.poly))
         n = need("n", args.n)
-        _guard(args, n)
+        _guard(args, n, _implied_rank(f))
         return _emit_poly(args, quantum.quantize(f, n), op=what, n=n)
 
     if what == "qmonomial":

@@ -8,7 +8,7 @@ is the ambient rank, so trailing fixed points are meaningful and preserved
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -314,7 +314,7 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
 def reduced_words(w: Perm) -> list[tuple[int, ...]]:
     """All reduced words of w, sorted lexicographically."""
 
-    @lru_cache(maxsize=None)
+    @cache
     def rec(v: Perm) -> tuple[tuple[int, ...], ...]:
         d = descents(v)
         if not d:

@@ -394,7 +394,11 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
         cache[mask] = acc
         return acc
 
-    return Poly(minor(full))
+    top = minor(full)
+    # minor refers to itself through its closure cell; break that cycle so the
+    # memo of partial minors is freed now rather than at the next gc pass
+    del minor
+    return Poly(top)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -441,8 +445,9 @@ def parse(s: str) -> Poly:
     """Parse the canonical polynomial grammar.
 
     Terms are integer-coefficient products of x<k>, y<k>, q<k>, a<k> joined
-    by ``*``, exponents via ``^`` (or ``**``), combined with ``+``/``-``;
-    parentheses are accepted.  Round-trips with Poly.text().
+    by ``*``, exponents via ``^`` (or ``**``, a literal of at most MAX_EXP),
+    combined with ``+``/``-``; parentheses are accepted.  Round-trips with
+    Poly.text().
     """
     toks = _tokenize(s)
     pos = 0
@@ -484,7 +489,11 @@ def parse(s: str) -> Poly:
             take()
             if peek() != "num":
                 raise ValueError("exponent must be a literal integer")
-            return p ** take()[1]
+            e = take()[1]
+            # capped whatever the base, so a constant like 2^N cannot build an N-bit int
+            if e > MAX_EXP:
+                raise ExponentOverflow(f"literal exponent above {MAX_EXP}: {e}")
+            return p ** e
         return p
 
     def parse_term() -> Poly:

@@ -17,6 +17,7 @@ S_6 takes about 17 s on a 2-vCPU Xeon VM under CPython 3.11.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Sequence
 
 from . import classical, perms
@@ -36,25 +37,8 @@ Perm = perms.Perm
 # inject a corrupted e~ and prove the identity checks actually bite
 _override: Callable[[int, int], Poly | None] | None = None
 
-_e_cache: dict = {}
-_h_cache: dict = {}
-_w0_cache: dict = {}
-_slice_cache: dict = {}
-_single_cache: dict = {}
-_double_cache: dict = {}
 
-
-def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> None:
-    """Install (or clear, with None) an e~ override; remember to clear_caches()."""
-    global _override
-    _override = fn
-
-
-def clear_caches() -> None:
-    for c in (_e_cache, _h_cache, _w0_cache, _slice_cache, _single_cache, _double_cache):
-        c.clear()
-
-
+@cache
 def q_elementary(k: int, r: int) -> Poly:
     """The quantum elementary polynomial e~_k(X_r)."""
     if k < 0 or k > r:
@@ -65,12 +49,9 @@ def q_elementary(k: int, r: int) -> Poly:
         forced = _override(k, r)
         if forced is not None:
             return forced
-    got = _e_cache.get((k, r))
-    if got is None:
-        got = q_elementary(k, r - 1) + x(r) * q_elementary(k - 1, r - 1)
-        if k >= 2 and r >= 2:
-            got = got + q(r - 1) * q_elementary(k - 2, r - 2)
-        _e_cache[(k, r)] = got
+    got = q_elementary(k, r - 1) + x(r) * q_elementary(k - 1, r - 1)
+    if k >= 2 and r >= 2:
+        got = got + q(r - 1) * q_elementary(k - 2, r - 2)
     return got
 
 
@@ -82,19 +63,16 @@ def delta(k: int, t: Poly) -> Poly:
     return out
 
 
+@cache
 def q_complete(k: int, r: int) -> Poly:
     """The quantum complete polynomial h~_k(X_r), as an e~ determinant."""
     if k < 0:
         return Poly()
     if k == 0:
         return Poly.const(1)
-    got = _h_cache.get((k, r))
-    if got is None:
-        got = determinant(
-            [[q_elementary(1 - i + j, r + j) for j in range(k)] for i in range(k)]
-        )
-        _h_cache[(k, r)] = got
-    return got
+    return determinant(
+        [[q_elementary(1 - i + j, r + j) for j in range(k)] for i in range(k)]
+    )
 
 
 def q_xy_elementary(m: int, k: int, l: int) -> Poly:
@@ -113,29 +91,25 @@ def q_xy_complete(m: int, k: int, l: int) -> Poly:
     for j in range(min(m, l) + 1):
         ej = classical.elem_sym(j, l, Y)
         if ej:
-            out = out + q_complete(m - j, r=k) * ej
+            out = out + q_complete(m - j, k) * ej
     return out
 
 
 # -- the top cell and divided-difference chains --------------------------------
 
 
+@cache
 def q_w0_double(n: int) -> Poly:
     """S~_{w_0}(x, y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | X_i)."""
-    got = _w0_cache.get(n)
-    if got is None:
-        got = Poly.const(1)
-        for i in range(1, n):
-            got = got * delta(i, y(n - i))
-        _w0_cache[n] = got
+    got = Poly.const(1)
+    for i in range(1, n):
+        got = got * delta(i, y(n - i))
     return got
 
 
+@cache
 def _w0_y_slice(n: int, want: int) -> Poly:
     """The y-degree-`want` part of S~_{w_0}(x,y), built without the full product."""
-    got = _slice_cache.get((n, want))
-    if got is not None:
-        return got
     total = n * (n - 1) // 2
     slices: list[Poly] = [Poly.const(1)] + [Poly() for _ in range(want)]
     done = 0
@@ -156,7 +130,6 @@ def _w0_y_slice(n: int, want: int) -> Poly:
                 if slices[j]:
                     nxt[j + d] = nxt[j + d] + slices[j] * piece
         slices = nxt
-    _slice_cache[(n, want)] = slices[want]
     return slices[want]
 
 
@@ -171,29 +144,45 @@ def _embed(w: Perm, n: int | None) -> Perm:
 
 def q_double_schubert(w: Perm, n: int | None = None) -> Poly:
     """S~_w(x, y) at ambient rank n (default: the rank w is written in)."""
-    w = _embed(w, n)
-    n = len(w)
-    got = _double_cache.get(w)
-    if got is None:
-        word = perms.reduced_word(perms.compose(w, perms.longest(n)))
-        got = classical.apply_word(q_w0_double(n), word, Y)
-        _double_cache[w] = got
-    return got
+    return _q_double_schubert(_embed(w, n))
+
+
+@cache
+def _q_double_schubert(w: Perm) -> Poly:
+    word = perms.reduced_word(perms.compose(w, perms.longest(len(w))))
+    return classical.apply_word(q_w0_double(len(w)), word, Y)
 
 
 def q_schubert(w: Perm, n: int | None = None) -> Poly:
     """The quantum Schubert polynomial S~_w(x) at ambient rank n."""
-    w = _embed(w, n)
-    n = len(w)
-    got = _single_cache.get(w)
-    if got is None:
-        v = perms.compose(w, perms.longest(n))
-        seed = _w0_y_slice(n, perms.length(v))
-        got = classical.apply_word(seed, perms.reduced_word(v), Y)
-        if any(fam == Y for fam, _ in got.variables()):
-            raise AssertionError("pruned chain left y variables behind")
-        _single_cache[w] = got
+    return _q_schubert(_embed(w, n))
+
+
+@cache
+def _q_schubert(w: Perm) -> Poly:
+    v = perms.compose(w, perms.longest(len(w)))
+    seed = _w0_y_slice(len(w), perms.length(v))
+    got = classical.apply_word(seed, perms.reduced_word(v), Y)
+    if any(fam == Y for fam, _ in got.variables()):
+        raise AssertionError("pruned chain left y variables behind")
     return got
+
+
+# everything above that descends from e~, cleared whenever the override changes
+_E_MEMOS = (q_elementary, q_complete, q_w0_double, _w0_y_slice, _q_double_schubert, _q_schubert)
+
+
+def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> None:
+    """Install (or remove, with None) an e~ override.
+
+    Every memo derived from e~ (e~, h~, the top cell and its y-slices, single
+    and double quantum Schubert polynomials) is cleared, so later calls see
+    the override and, once it is removed, the true e~ again.
+    """
+    global _override
+    _override = fn
+    for memo in _E_MEMOS:
+        memo.cache_clear()
 
 
 def quantize(f: Poly, n: int | None = None) -> Poly:

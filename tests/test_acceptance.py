@@ -258,10 +258,8 @@ def test_criterion_14_mutation_sensitivity():
             lambda k, r: corrupted if (k, r) == (2, 2) else None
         )
         try:
-            quantum.clear_caches()
             rep = verify.suite_cauchy(3)
             assert not rep.ok
         finally:
             quantum.set_elementary_override(None)
-            quantum.clear_caches()
         assert verify.suite_cauchy(3).ok

@@ -142,12 +142,18 @@ def test_rank_guard(capsys):
     )
     assert code == 0
     assert "warning" in err
-
-
-def test_max_n_env(capsys, monkeypatch):
-    monkeypatch.setenv("QSK_MAX_N", "3")
-    code, _, err = run(capsys, "compute", "qschubert", "--w", "4321")
+    code, _, err = run(capsys, "--max-n", "3", "compute", "qschubert", "--w", "4321")
     assert code == 2
+    assert "--max-n 3" in err
+    # quantize works at the rank its polynomial implies: x1^e needs S_{1+e}
+    code, _, err = run(capsys, "compute", "quantize", "--poly", "x1^12", "--n", "3")
+    assert code == 2
+    assert "rank 13" in err and "--max-n" in err
+    code, out, _ = run(
+        capsys, "--max-n", "7", "compute", "quantize", "--poly", "x1^6", "--n", "3"
+    )
+    assert code == 0
+    assert out.startswith("x1^6 - 5*q1*x1^4")
 
 
 def test_parse_error_exit(capsys):
@@ -158,6 +164,9 @@ def test_parse_error_exit(capsys):
     assert code == 2
     # past the packed encoding's bounds: a typed error, never a wrapped value
     code, _, err = run(capsys, "compute", "quantize", "--poly", "x1^200", "--n", "3")
+    assert code == 2
+    assert "exponent above 127" in err
+    code, _, err = run(capsys, "compute", "quantize", "--poly", "2^20000*x1", "--n", "3")
     assert code == 2
     assert "exponent above 127" in err
     code, _, err = run(capsys, "compute", "quantize", "--poly", "x1048577", "--n", "3")

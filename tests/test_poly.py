@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from qschub.poly import (
     x,
     y,
 )
+from qschub.quantum import q_complete
 
 
 @st.composite
@@ -75,6 +78,11 @@ def test_exponent_cap():
             big()
     with pytest.raises(ExponentOverflow):
         parse("x1^200")
+    # a literal exponent is capped whatever its base
+    assert parse("2^127") == Poly.const(2**127)
+    for text in ("2^128", "(x1 + 1)^128", "3**20000"):
+        with pytest.raises(ExponentOverflow):
+            parse(text)
     with pytest.raises(ExponentOverflow):
         monomial([(X, 1, 100), (X, 1, 28)])
 
@@ -183,6 +191,18 @@ def test_determinant():
     assert determinant(three) == vandermonde
     with pytest.raises(NonSquare):
         determinant([[x(1), x(2)]])
+
+
+def test_determinant_frees_its_memo():
+    # the memo of partial minors must go with the call, not wait for a gc pass
+    m = [[q_complete(2 - i + j, i + 1) for j in range(4)] for i in range(4)]
+    gc.disable()
+    try:
+        gc.collect()
+        assert determinant(m)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_divided_difference_and_division():

@@ -192,15 +192,16 @@ def test_elementary_override_hook():
             return corrupted
         return None
 
+    # memoized before the hook goes in: installing it must invalidate them
+    assert quantum.q_elementary(2, 2) == parse("x1*x2 + q1")
+    assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
     quantum.set_elementary_override(hook)
     try:
-        quantum.clear_caches()
         assert quantum.q_elementary(2, 2) == corrupted
         # the corruption propagates into everything built from the factors
         assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 - q1")
     finally:
         quantum.set_elementary_override(None)
-        quantum.clear_caches()
     assert quantum.q_elementary(2, 2) == parse("x1*x2 + q1")
     assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
 

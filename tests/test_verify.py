@@ -93,11 +93,9 @@ def test_mutation_sensitivity():
     corrupted = parse("x1*x2 - q1")
     quantum.set_elementary_override(lambda k, r: corrupted if (k, r) == (2, 2) else None)
     try:
-        quantum.clear_caches()
         rep = verify.suite_cauchy(3)
         assert not rep.ok
         assert any(f["case"] == "anchor e~_2(X_2)" for f in rep.failures)
     finally:
         quantum.set_elementary_override(None)
-        quantum.clear_caches()
     assert verify.suite_cauchy(3).ok
