@@ -6,7 +6,9 @@ Verbs:
   enumerate  list or count a permutation class
   conjecture run the conjecture scan and print its findings (always exit 0)
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error (a fault of qschub itself, reported as "internal error:"
+with its traceback).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import classical, perms, quantum, verify
 from .errors import QschubError
@@ -248,6 +251,10 @@ def main(argv: list[str] | None = None) -> int:
     except (QschubError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     return 2  # pragma: no cover
 
 

@@ -8,7 +8,6 @@ is the ambient rank, so trailing fixed points are meaningful and preserved
 from __future__ import annotations
 
 import itertools
-from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -313,40 +312,28 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
 
 def reduced_words(w: Perm) -> list[tuple[int, ...]]:
     """All reduced words of w, sorted lexicographically."""
+    return sorted(_words_ending(w, {}))
 
-    @cache
-    def rec(v: Perm) -> tuple[tuple[int, ...], ...]:
+
+def _words_ending(v: Perm, memo: dict) -> list[tuple[int, ...]]:
+    """The reduced words of v, memoized in `memo` across the weak order below it."""
+    got = memo.get(v)
+    if got is None:
         d = descents(v)
-        if not d:
-            return ((),)
-        out = []
-        for i in d:
-            for word in rec(times_s(v, i)):
-                out.append(word + (i,))
-        return tuple(out)
-
-    words = sorted(rec(w))
-    rec.cache_clear()
-    return words
+        # without descents v is the identity, whose one reduced word is empty
+        got = [word + (i,) for i in d for word in _words_ending(times_s(v, i), memo)] or [()]
+        memo[v] = got
+    return got
 
 
 def compatible_sequences(word: Sequence[int]) -> list[tuple[int, ...]]:
     """Weakly increasing b with b_k <= a_k and b_k < b_{k+1} when a_k < a_{k+1}."""
     a = tuple(word)
-    if not a:
-        return [()]
-    out: list[tuple[int, ...]] = []
-
-    def rec(k: int, prefix: tuple[int, ...]):
-        if k == len(a):
-            out.append(prefix)
-            return
-        lo = 1 if not prefix else prefix[-1] + (1 if a[k - 1] < a[k] else 0)
-        for b in range(lo, a[k] + 1):
-            rec(k + 1, prefix + (b,))
-
-    rec(0, ())
-    return out
+    seqs: list[tuple[int, ...]] = [()]
+    for k, ak in enumerate(a):
+        rise = 1 if k and a[k - 1] < ak else 0
+        seqs = [b + (c,) for b in seqs for c in range(b[-1] + rise if b else 1, ak + 1)]
+    return seqs
 
 
 # -- partitions ----------------------------------------------------------------

@@ -226,6 +226,17 @@ class Poly:
             out[m - part + (part << shift if shift >= 0 else part >> -shift)] = c
         return Poly(out)
 
+    def split_family(self, family: int) -> list[tuple["Poly", "Poly"]]:
+        """Group by the monomials of one family: pairs (m, c) with
+        self = sum m*c, m a monomial of the family with coefficient 1 and c
+        free of the family.  The zero polynomial gives []."""
+        mask = _family_mask(family, reduce(or_, self.terms, 0))
+        groups: dict = {}
+        for m, c in self.terms.items():
+            part = m & mask
+            groups.setdefault(part, {})[m - part] = c
+        return [(Poly({part: 1}), Poly(rest)) for part, rest in groups.items()]
+
     def negate_family(self, family: int) -> "Poly":
         """Substitute v -> -v for every variable of the given family."""
         return Poly(
@@ -403,6 +414,10 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
 
 # -- parsing -----------------------------------------------------------------
 
+# a power in parsed input may not risk a coefficient above this many bits:
+# 4096 bits is 1234 decimal digits, well inside the 4300 that str(int) prints
+MAX_POWER_BITS = 4096
+
 
 def _tokenize(s: str) -> list:
     toks: list = []
@@ -447,88 +462,100 @@ def parse(s: str) -> Poly:
     Terms are integer-coefficient products of x<k>, y<k>, q<k>, a<k> joined
     by ``*``, exponents via ``^`` (or ``**``, a literal of at most MAX_EXP),
     combined with ``+``/``-``; parentheses are accepted.  Round-trips with
-    Poly.text().
+    Poly.text().  A power whose coefficients could pass MAX_POWER_BITS bits
+    raises ExponentOverflow before it is computed.
     """
-    toks = _tokenize(s)
-    pos = 0
+    return _Parser(_tokenize(s)).parse()
 
-    def peek():
-        return toks[pos][0] if pos < len(toks) else None
 
-    def take():
-        nonlocal pos
-        t = toks[pos]
-        pos += 1
+class _Parser:
+    """Recursive descent over a token list, with the cursor as state."""
+
+    def __init__(self, toks: list):
+        self.toks = toks
+        self.pos = 0
+
+    def parse(self) -> Poly:
+        out = self.expr()
+        if self.pos != len(self.toks):
+            raise ValueError(f"trailing input from token {self.pos}")
+        return out
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def take(self):
+        t = self.toks[self.pos]
+        self.pos += 1
         return t
 
-    def parse_atom() -> Poly:
-        nonlocal pos
-        kind = peek()
+    def atom(self) -> Poly:
+        kind = self.peek()
         if kind == "num":
-            return Poly.const(take()[1])
+            return Poly.const(self.take()[1])
         if kind == "var":
-            fam, idx = take()[1]
+            fam, idx = self.take()[1]
             if idx < 1:
                 raise ValueError("variable indices start at 1")
             return Poly.variable(fam, idx)
         if kind == "(":
-            take()
-            p = parse_expr()
-            if peek() != ")":
+            self.take()
+            p = self.expr()
+            if self.peek() != ")":
                 raise ValueError("unbalanced parenthesis")
-            take()
+            self.take()
             return p
         if kind == "-":
-            take()
-            return -parse_atom()
+            self.take()
+            return -self.atom()
         raise ValueError("expected a number, variable or parenthesized expression")
 
-    def parse_factor() -> Poly:
-        p = parse_atom()
-        if peek() == "^":
-            take()
-            if peek() != "num":
-                raise ValueError("exponent must be a literal integer")
-            e = take()[1]
-            # capped whatever the base, so a constant like 2^N cannot build an N-bit int
-            if e > MAX_EXP:
-                raise ExponentOverflow(f"literal exponent above {MAX_EXP}: {e}")
-            return p ** e
-        return p
+    def factor(self) -> Poly:
+        p = self.atom()
+        if self.peek() != "^":
+            return p
+        self.take()
+        if self.peek() != "num":
+            raise ValueError("exponent must be a literal integer")
+        e = self.take()[1]
+        # capped whatever the base, so a constant like 2^N cannot build an N-bit int
+        if e > MAX_EXP:
+            raise ExponentOverflow(f"literal exponent above {MAX_EXP}: {e}")
+        # every coefficient of p^e is at most (sum of |coefficients of p|)^e
+        norm = sum(abs(c) for c in p.terms.values())
+        if e * (norm - 1).bit_length() > MAX_POWER_BITS:
+            raise ExponentOverflow(f"a power's coefficients could pass {MAX_POWER_BITS} bits")
+        return p**e
 
-    def parse_term() -> Poly:
-        p = parse_factor()
+    def term(self) -> Poly:
+        p = self.factor()
         while True:
-            if peek() == "*":
-                take()
-                p = p * parse_factor()
-            elif peek() in ("var", "num", "("):
+            if self.peek() == "*":
+                self.take()
+                p = p * self.factor()
+            elif self.peek() in ("var", "num", "("):
                 # implicit product, e.g. "3x1" or "2 q1"
-                p = p * parse_factor()
+                p = p * self.factor()
             else:
                 return p
 
-    def parse_expr() -> Poly:
-        if peek() == "-":
-            take()
-            p = -parse_term()
+    def expr(self) -> Poly:
+        if self.peek() == "-":
+            self.take()
+            p = -self.term()
         else:
-            p = parse_term()
-        while peek() in ("+", "-"):
-            op = take()[0]
-            t = parse_term()
+            p = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.take()[0]
+            t = self.term()
             p = p + t if op == "+" else p - t
         return p
-
-    out = parse_expr()
-    if pos != len(toks):
-        raise ValueError(f"trailing input from token {pos}")
-    return out
 
 
 __all__ = [
     "A",
     "MAX_INDEX",
+    "MAX_POWER_BITS",
     "ONE",
     "Poly",
     "Q",

@@ -7,12 +7,14 @@ Delta_k(t|X_k) = sum_i e~_i(X_k) t^{k-i}.  The top double polynomial is
 prod_{i=1}^{n-1} Delta_i(y_{n-i}|X_i) and everything else descends from it by
 divided differences acting on the y alphabet; single polynomials set y = 0.
 
-Single polynomials are computed on a pruned chain: only the y-degree slice of
-the top polynomial that can survive the whole operator word is materialized
-(each y divided difference lowers every surviving term's y-degree by exactly
-one).  That is not instant at rank 6: the slices of middle-length
-permutations reach 21.5k terms, and q_schubert over all 720 permutations of
-S_6 takes about 17 s on a 2-vCPU Xeon VM under CPython 3.11.
+The y divided differences never touch x or q, so with the top polynomial
+written as sum_c y^c P_c(x, q) (grouped by y-monomial) every chain runs on
+single y-monomials: S~_w = sum_c d^y_{w w_0}(y^c) P_c.  Each operator lowers
+the y-degree by one, so only y-degrees of at least l(w w_0) contribute, and
+for single polynomials (y = 0) only the y-degree slice of exactly l(w w_0),
+where each d^y_{w w_0}(y^c) is an integer.  The slices are built without the
+full product.  q_schubert over all 720 permutations of S_6 takes about 2.3 s
+on a 2-vCPU Xeon VM under CPython 3.11.
 """
 
 from __future__ import annotations
@@ -108,8 +110,10 @@ def q_w0_double(n: int) -> Poly:
 
 
 @cache
-def _w0_y_slice(n: int, want: int) -> Poly:
-    """The y-degree-`want` part of S~_{w_0}(x,y), built without the full product."""
+def _w0_y_slice(n: int, want: int) -> tuple[tuple[Poly, Poly], ...]:
+    """The y-degree-`want` part of S~_{w_0}(x,y), built without the full
+    product and grouped by y-monomial: pairs (y^c, P_c), the part being the
+    sum of y^c * P_c with P_c free of y."""
     total = n * (n - 1) // 2
     slices: list[Poly] = [Poly.const(1)] + [Poly() for _ in range(want)]
     done = 0
@@ -130,7 +134,7 @@ def _w0_y_slice(n: int, want: int) -> Poly:
                 if slices[j]:
                     nxt[j + d] = nxt[j + d] + slices[j] * piece
         slices = nxt
-    return slices[want]
+    return tuple(slices[want].split_family(Y))
 
 
 def _embed(w: Perm, n: int | None) -> Perm:
@@ -149,8 +153,17 @@ def q_double_schubert(w: Perm, n: int | None = None) -> Poly:
 
 @cache
 def _q_double_schubert(w: Perm) -> Poly:
-    word = perms.reduced_word(perms.compose(w, perms.longest(len(w))))
-    return classical.apply_word(q_w0_double(len(w)), word, Y)
+    # the grouped slices together make up the top cell; d^y_v lowers the
+    # y-degree by l(v), so the slices below l(v) contribute nothing
+    n = len(w)
+    word = perms.reduced_word(perms.compose(w, perms.longest(n)))
+    out = Poly()
+    for want in range(len(word), n * (n - 1) // 2 + 1):
+        for m, c in _w0_y_slice(n, want):
+            k = classical.apply_word(m, word, Y)
+            if k:
+                out = out + k * c
+    return out
 
 
 def q_schubert(w: Perm, n: int | None = None) -> Poly:
@@ -160,12 +173,16 @@ def q_schubert(w: Perm, n: int | None = None) -> Poly:
 
 @cache
 def _q_schubert(w: Perm) -> Poly:
-    v = perms.compose(w, perms.longest(len(w)))
-    seed = _w0_y_slice(len(w), perms.length(v))
-    got = classical.apply_word(seed, perms.reduced_word(v), Y)
-    if any(fam == Y for fam, _ in got.variables()):
-        raise AssertionError("pruned chain left y variables behind")
-    return got
+    # y = 0 keeps only the slice whose y-degree l(v) drops to 0
+    word = perms.reduced_word(perms.compose(w, perms.longest(len(w))))
+    out = Poly()
+    for m, c in _w0_y_slice(len(w), len(word)):
+        k = classical.apply_word(m, word, Y)
+        if k.variables():
+            raise AssertionError("y chain left y variables behind")
+        if k:
+            out = out + k.constant_term() * c
+    return out
 
 
 # everything above that descends from e~, cleared whenever the override changes
@@ -175,9 +192,9 @@ _E_MEMOS = (q_elementary, q_complete, q_w0_double, _w0_y_slice, _q_double_schube
 def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> None:
     """Install (or remove, with None) an e~ override.
 
-    Every memo derived from e~ (e~, h~, the top cell and its y-slices, single
-    and double quantum Schubert polynomials) is cleared, so later calls see
-    the override and, once it is removed, the true e~ again.
+    Every memo derived from e~ (e~, h~, the top cell, its grouped y-slices,
+    single and double quantum Schubert polynomials) is cleared, so later
+    calls see the override and, once it is removed, the true e~ again.
     """
     global _override
     _override = fn

@@ -172,6 +172,24 @@ def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "compute", "quantize", "--poly", "x1048577", "--n", "3")
     assert code == 2
     assert "variable index must be in 1..1024" in err
+    # nested constant powers fail before building a huge int
+    code, _, err = run(capsys, "compute", "quantize", "--poly", "(2^127)^127*x1", "--n", "3")
+    assert code == 2
+    assert "4096 bits" in err
+
+
+def test_internal_error_exit(capsys, monkeypatch):
+    # a fault of the program itself is neither a usage error (2) nor a failed
+    # verification (1)
+    def broken(w, n=None):
+        raise AssertionError("y chain left y variables behind")
+
+    monkeypatch.setattr(quantum, "q_schubert", broken)
+    code, out, err = run(capsys, "compute", "qschubert", "--w", "231")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: AssertionError: y chain left")
+    assert "Traceback" in err
 
 
 def test_missing_required_option(capsys):

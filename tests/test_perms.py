@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -148,8 +149,22 @@ def test_reduced_words():
             v = perms.times_s(v, i)
         assert v == w0
     # compatible sequences: weakly increasing b with b_k <= a_k and strict at ascents
-    seqs = perms.compatible_sequences((1, 2, 1))
-    assert seqs == [(1, 1, 1)] or all(len(s) == 3 for s in seqs)
+    assert perms.compatible_sequences((1, 2, 1)) == []
+    assert perms.compatible_sequences((2, 1, 2)) == [(1, 1, 2)]
+    assert perms.compatible_sequences((2, 2)) == [(1, 1), (1, 2), (2, 2)]
+    assert perms.compatible_sequences(()) == [()]
+
+
+def test_word_enumerations_free_their_memos():
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(perms.reduced_words((3, 1, 4, 2))) == 2
+        assert gc.collect() == 0
+        assert perms.compatible_sequences((3, 1, 3)) == [(1, 1, 2), (1, 1, 3)]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_partitions():

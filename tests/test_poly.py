@@ -12,6 +12,7 @@ from qschub.errors import ExponentOverflow, NonSquare, VariableOutOfRange
 from qschub.poly import (
     A,
     MAX_INDEX,
+    MAX_POWER_BITS,
     ONE,
     Poly,
     Q,
@@ -85,6 +86,13 @@ def test_exponent_cap():
             parse(text)
     with pytest.raises(ExponentOverflow):
         monomial([(X, 1, 100), (X, 1, 28)])
+    # a power whose coefficients could pass MAX_POWER_BITS fails before it is built
+    assert len(parse("(x1 + 1)^127")) == 128
+    assert parse("(2^127)^32") == Poly.const(2 ** (127 * 32))
+    for text in ("(2^127)^127", "((2^127)^127)^127", "(2^127)^127*x1", "(x1 + 2^64)^127"):
+        with pytest.raises(ExponentOverflow):
+            parse(text)
+    assert len(str(2**MAX_POWER_BITS)) < 4300  # CPython's str(int) digit limit
 
 
 def test_index_bound_no_aliasing():
@@ -203,6 +211,30 @@ def test_determinant_frees_its_memo():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_parse_frees_its_state():
+    gc.disable()
+    try:
+        gc.collect()
+        assert parse("x1^2*x2 + 3*(x1 - q1)^2") == x(1) ** 2 * x(2) + 3 * (x(1) - q(1)) ** 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_split_family():
+    p = parse("3*y1^2*x1 + y1^2*q2 - 2*y1*y3*x2 + x1*q1 + 5")
+    pairs = p.split_family(Y)
+    assert sum((m * c for m, c in pairs), Poly()) == p
+    for m, c in pairs:
+        assert len(m) == 1 and m.constant_term() in (0, 1)
+        assert all(fam == Y for fam, _ in m.variables())
+        assert all(fam != Y for fam, _ in c.variables())
+    assert len({m.text() for m, _ in pairs}) == len(pairs) == 3
+    assert dict((m.text(), c) for m, c in pairs)["y1^2"] == parse("3*x1 + q2")
+    assert x(1).split_family(Y) == [(ONE, x(1))]
+    assert ZERO.split_family(Y) == []
 
 
 def test_divided_difference_and_division():

@@ -206,6 +206,28 @@ def test_elementary_override_hook():
     assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
 
 
+def test_rank6_matches_whole_slice_chain():
+    # the construction before y-monomial grouping: the chain runs on the whole
+    # y-degree-l(v) slice of prod_i Delta_i(y_{n-i}|X_i), v = w w0
+    n = 6
+    slices = {0: ONE}
+    for i in range(1, n):
+        nxt: dict = {}
+        for j, p in slices.items():
+            for k in range(i + 1):
+                d = i - k
+                nxt[j + d] = nxt.get(j + d, ZERO) + p * quantum.q_elementary(k, i) * y(n - i) ** d
+        slices = nxt
+    picked: dict = {}
+    for w in perms.permutations(n):
+        picked.setdefault(perms.length(w), w)
+    assert sorted(picked) == list(range(16))
+    for w in picked.values():
+        v = perms.compose(w, perms.longest(n))
+        old = classical.apply_word(slices[perms.length(v)], perms.reduced_word(v), Y)
+        assert quantum.q_schubert(w) == old, w
+
+
 def test_flagged_determinants():
     # a row-flagged determinant with full flags equals the quantum Schur
     assert quantum.q_flagged((2, 1), kind="row", xflags=(3, 3)) == parse(
