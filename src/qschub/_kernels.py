@@ -5,7 +5,9 @@ monomial is one non-negative int, a packed exponent vector in the manner of
 Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007): variable code s owns the byte at bits
 [8s, 8s + 8), which holds its exponent.  The constant monomial is 0.  Which
-variable has which code is the caller's business (see poly.py).
+variable has which code is the caller's business (see poly.py).  padd is
+the one op that writes into a dict it is given (its accumulator); the others
+return a new dict.
 
 The top bit of every byte is a guard bit, so exponents run from 0 to
 MAX_EXP = 127.  Two guard-free monomials multiply by int addition without
@@ -29,41 +31,26 @@ MAX_CODES = 4096
 GUARD = int.from_bytes(bytes([MAX_EXP + 1]) * MAX_CODES, "little")
 
 
-def padd(p1: dict, p2: dict) -> dict:
-    """Sum of two polynomials."""
-    if not p1:
-        return dict(p2)
-    if not p2:
-        return dict(p1)
-    out = dict(p1)
-    for m, c in p2.items():
-        s = out.get(m, 0) + c
+def padd(acc: dict, p: dict, c: int = 1) -> dict:
+    """Add c * p into acc in place and return acc; p itself is left alone.
+
+    The one linear op: every sum, difference and scalar multiple is built by
+    accumulating into a dict the caller owns.  p must not be acc.
+    """
+    if not c or not p:
+        return acc
+    if not acc:
+        # an empty accumulator takes a copy at C speed
+        acc.update(p if c == 1 else {m: c * k for m, k in p.items()})
+        return acc
+    get = acc.get
+    for m, k in p.items():
+        s = get(m, 0) + c * k
         if s:
-            out[m] = s
+            acc[m] = s
         else:
-            del out[m]
-    return out
-
-
-def psub(p1: dict, p2: dict) -> dict:
-    """Difference p1 - p2."""
-    out = dict(p1)
-    for m, c in p2.items():
-        s = out.get(m, 0) - c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
-    return out
-
-
-def pscale(p: dict, c: int) -> dict:
-    """Scalar multiple c * p."""
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(p)
-    return {m: c * k for m, k in p.items()}
+            del acc[m]
+    return acc
 
 
 def pmul(p1: dict, p2: dict) -> dict:

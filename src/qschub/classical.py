@@ -26,10 +26,6 @@ def apply_word(f: Poly, word, family: int = X) -> Poly:
     return f
 
 
-def divided_diff_w(f: Poly, w: Perm, family: int = X) -> Poly:
-    return apply_word(f, perms.reduced_word(w), family)
-
-
 def staircase(n: int) -> Poly:
     """x^delta = x1^(n-1) x2^(n-2) ... x_{n-1}."""
     return monomial([(X, i, n - i) for i in range(1, n)])

@@ -8,7 +8,7 @@ is the ambient rank, so trailing fixed points are meaningful and preserved
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BadFlag,
@@ -206,11 +206,6 @@ CLASS_TESTS = {
 }
 
 
-def classify(w: Perm) -> tuple[str, ...]:
-    """All class tags that apply, in a fixed order."""
-    return tuple(name for name, test in CLASS_TESTS.items() if test(w))
-
-
 def enumerate_class(n: int, cls: str, max_n: int = ENUMERATION_CAP) -> list[Perm]:
     """All members of a class in S_n, lexicographic order."""
     if cls not in CLASS_TESTS:
@@ -355,38 +350,19 @@ def conjugate(lam: Sequence[int]) -> Partition:
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    lam, mu = check_partition(lam), check_partition(mu)
-    if len(mu) > len(lam):
-        return False
-    return all(mu[i] <= lam[i] for i in range(len(mu)))
-
-
 def fits_box(lam: Sequence[int], rows: int, cols: int) -> bool:
     lam = check_partition(lam)
     return len(lam) <= rows and (not lam or lam[0] <= cols)
 
 
-def complement(lam: Sequence[int], rows: int, cols: int) -> Partition:
-    """The complement of lam inside the rows x cols box, read upside down."""
-    lam = check_partition(lam)
-    if not fits_box(lam, rows, cols):
-        raise ShapeOutOfBox(f"{lam} does not fit in a {rows}x{cols} box")
-    padded = lam + (0,) * (rows - len(lam))
-    return check_partition(tuple(cols - padded[rows - 1 - i] for i in range(rows)))
-
-
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:
     """All partitions inside a rows x cols box, shortlex order."""
     out: list[Partition] = [()]
-    def rec(prefix: tuple[int, ...], maxpart: int):
-        if len(prefix) == rows:
-            return
-        for p in range(1, maxpart + 1):
-            nxt = prefix + (p,)
-            out.append(nxt)
-            rec(nxt, p)
-    rec((), cols)
+    layer: list[Partition] = [()]
+    for _ in range(rows):
+        # the partitions one row longer: append a part no larger than the last
+        layer = [lam + (p,) for lam in layer for p in range(1, (lam[-1] if lam else cols) + 1)]
+        out += layer
     return sorted(out, key=lambda t: (len(t), tuple(-p for p in t)))
 
 
@@ -428,13 +404,10 @@ __all__ = [
     "check_partition",
     "check_perm",
     "check_flags",
-    "classify",
     "code",
     "compatible_sequences",
-    "complement",
     "compose",
     "conjugate",
-    "contains",
     "cross_embed",
     "descents",
     "enumerate_class",

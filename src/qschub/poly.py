@@ -7,7 +7,9 @@ and a1, a2, ... (an auxiliary alphabet used by some identities and by the
 each q counts 2, so the quantum elementary polynomials stay homogeneous.
 
 Internally a polynomial is a dict from monomials to nonzero ints, with the
-dict work delegated to the kernel (see _kernels).  A monomial is one int,
+dict work delegated to the kernel (see _kernels).  A Poly owns its dict and
+never changes it: ``terms`` is a read-only view, and every sum is built by
+accumulating into a fresh dict (Poly.sum).  A monomial is one int,
 a packed exponent vector with one byte per variable; this module is the only
 one that knows which variable sits in which byte: family f, index i has code
 4*(i-1) + f, so byte k of a monomial's little-endian bytes is the exponent of
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul, pscale, pswap, psub
+from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul
 from .errors import ExponentOverflow, NonSquare, VariableOutOfRange
 
 X, Y, Q, A = 0, 1, 2, 3
@@ -72,13 +75,24 @@ def _family_mask(family: int, m: int) -> int:
     return int.from_bytes(pattern * ((m.bit_length() >> 5) + 1), "little")
 
 
-class Poly:
-    """Immutable-by-convention wrapper over a kernel polynomial dict."""
+def _terms_of(v: Union["Poly", int]) -> dict:
+    if isinstance(v, Poly):
+        return v._terms
+    return {0: v} if v else {}
 
-    __slots__ = ("terms",)
+
+class Poly:
+    """A read-only polynomial: it owns a kernel dict that nothing writes into."""
+
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
+        self._terms = terms or {}
+
+    @property
+    def terms(self) -> Mapping[int, int]:
+        """Read-only view of the monomial -> coefficient dict."""
+        return MappingProxyType(self._terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -90,33 +104,38 @@ class Poly:
     def variable(family: int, index: int) -> "Poly":
         return Poly({1 << WIDTH * vcode(family, index): 1})
 
+    @staticmethod
+    def sum(parts: Iterable["Poly"]) -> "Poly":
+        """The sum of the parts, each added in place into one accumulator as
+        it arrives."""
+        acc: dict = {}
+        for p in parts:
+            padd(acc, p._terms)
+        # cancellations leave deleted slots in acc; the copy compacts them
+        return Poly(dict(acc))
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.const(other)
-        return Poly(padd(self.terms, other.terms))
+        return Poly(padd(dict(self._terms), _terms_of(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.const(other)
-        return Poly(psub(self.terms, other.terms))
+        return Poly(padd(dict(self._terms), _terms_of(other), -1))
 
     def __rsub__(self, other: int) -> "Poly":
-        return Poly.const(other) - self
+        return Poly(padd(_terms_of(other), self._terms, -1))
 
     def __neg__(self) -> "Poly":
-        return Poly(pscale(self.terms, -1))
+        return Poly(padd({}, self._terms, -1))
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
-            return Poly(pscale(self.terms, other))
-        return Poly(pmul(self.terms, other.terms))
+            return Poly(padd({}, self._terms, other))
+        return Poly(pmul(self._terms, other._terms))
 
-    def __rmul__(self, other: int) -> "Poly":
-        return Poly(pscale(self.terms, other))
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -131,35 +150,30 @@ class Poly:
         return out
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.terms == Poly.const(other).terms
-        if isinstance(other, Poly):
-            return self.terms == other.terms
+        if isinstance(other, (Poly, int)):
+            return self._terms == _terms_of(other)
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     # -- inspection --------------------------------------------------------
 
     def constant_term(self) -> int:
-        return self.terms.get(0, 0)
+        return self._terms.get(0, 0)
 
     def variables(self) -> list[tuple[int, int]]:
         """Sorted list of (family, index) pairs occurring in the polynomial."""
-        return sorted(vsplit(k) for k in _codes(reduce(or_, self.terms, 0)))
+        return sorted(vsplit(k) for k in _codes(reduce(or_, self._terms, 0)))
 
     def degree(self) -> int:
         """Largest weighted total degree (0 for the zero polynomial)."""
-        return max((_wdeg(m) for m in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        return len({_wdeg(m) for m in self.terms}) <= 1
+        return max((_wdeg(m) for m in self._terms), default=0)
 
     # -- substitution and specialization ------------------------------------
 
@@ -175,7 +189,7 @@ class Poly:
         ]
         out: dict = {}
         powcache: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             kept = m
             piece: Poly | None = None
             for shift, val in repl:
@@ -189,7 +203,7 @@ class Poly:
                         powcache[key] = p
                     piece = p if piece is None else piece * p
             base = {kept: c}
-            out = padd(out, base if piece is None else pmul(base, piece.terms))
+            padd(out, base if piece is None else pmul(base, piece._terms))
         return Poly(out)
 
     def drop_vars(self, pred: Callable[[int, int], bool]) -> "Poly":
@@ -198,10 +212,10 @@ class Poly:
         Terms containing such a variable are dropped wholesale.
         """
         dead = 0
-        for k in _codes(reduce(or_, self.terms, 0)):
+        for k in _codes(reduce(or_, self._terms, 0)):
             if pred(*vsplit(k)):
                 dead |= FIELD << WIDTH * k
-        return Poly({m: c for m, c in self.terms.items() if not m & dead})
+        return Poly({m: c for m, c in self._terms.items() if not m & dead})
 
     def restrict(self, m: int) -> "Poly":
         """Project to the rank-m ring: x_j -> 0 for j > m, q_j -> 0 for j >= m.
@@ -215,13 +229,13 @@ class Poly:
     def rename_family(self, src: int, dst: int) -> "Poly":
         """Relabel every src-family variable as the dst-family variable of the
         same index; the dst family must not already occur."""
-        width = reduce(or_, self.terms, 0)
+        width = reduce(or_, self._terms, 0)
         if width & _family_mask(dst, width):
             raise ValueError("rename target family already present")
         moved = _family_mask(src, width)
         shift = WIDTH * (dst - src)
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             part = m & moved
             out[m - part + (part << shift if shift >= 0 else part >> -shift)] = c
         return Poly(out)
@@ -230,9 +244,9 @@ class Poly:
         """Group by the monomials of one family: pairs (m, c) with
         self = sum m*c, m a monomial of the family with coefficient 1 and c
         free of the family.  The zero polynomial gives []."""
-        mask = _family_mask(family, reduce(or_, self.terms, 0))
+        mask = _family_mask(family, reduce(or_, self._terms, 0))
         groups: dict = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             part = m & mask
             groups.setdefault(part, {})[m - part] = c
         return [(Poly({part: 1}), Poly(rest)) for part, rest in groups.items()]
@@ -240,25 +254,21 @@ class Poly:
     def negate_family(self, family: int) -> "Poly":
         """Substitute v -> -v for every variable of the given family."""
         return Poly(
-            {m: -c if sum(_bytes(m)[family::_NFAM]) & 1 else c for m, c in self.terms.items()}
+            {m: -c if sum(_bytes(m)[family::_NFAM]) & 1 else c for m, c in self._terms.items()}
         )
 
     # -- operators ---------------------------------------------------------
 
-    def swap_adjacent(self, i: int, family: int = X) -> "Poly":
-        """Exchange v_i and v_{i+1} in the given family."""
-        return Poly(pswap(self.terms, vcode(family, i), vcode(family, i + 1)))
-
     def divided_diff(self, i: int, family: int = X) -> "Poly":
         """(f - s_i f) / (v_i - v_{i+1}) acting on the given family."""
-        return Poly(pdivdiff(self.terms, vcode(family, i), vcode(family, i + 1)))
+        return Poly(pdivdiff(self._terms, vcode(family, i), vcode(family, i + 1)))
 
     def q_partial(self, i: int) -> "Poly":
         """Formal partial derivative with respect to q_i."""
         shift = WIDTH * vcode(Q, i)
         one = 1 << shift
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             e = (m >> shift) & FIELD
             if e:
                 out[m - one] = c * e
@@ -270,11 +280,11 @@ class Poly:
         """(factors, coefficient) per term in display order: weighted degree
         descending, then lex on the exponents by family x, y, q, a and index.
         Factors are (family, index, exponent) triples ordered q, x, y, a."""
-        if not self.terms:
+        if not self._terms:
             return []
-        n = _NFAM * ((max(self.terms).bit_length() >> 5) + 1)
+        n = _NFAM * ((max(self._terms).bit_length() >> 5) + 1)
         rows = []
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             b = _bytes(m, n)
             # the exponents family by family, one byte per index
             fams = b[X::_NFAM], b[Y::_NFAM], b[Q::_NFAM], b[A::_NFAM]
@@ -396,11 +406,11 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
             bit = 1 << j
             if not mask & bit:
                 continue
-            entry = rows[i][j].terms
+            entry = rows[i][j]._terms
             if entry:
                 sub = minor(mask & ~bit)
                 if sub:
-                    acc = padd(acc, pscale(pmul(entry, sub), sign))
+                    padd(acc, pmul(entry, sub), sign)
             sign = -sign
         cache[mask] = acc
         return acc
@@ -409,14 +419,30 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     # minor refers to itself through its closure cell; break that cycle so the
     # memo of partial minors is freed now rather than at the next gc pass
     del minor
-    return Poly(top)
+    # the copy compacts the slots that cancellations left in the accumulator
+    return Poly(dict(top))
 
 
 # -- parsing -----------------------------------------------------------------
 
-# a power in parsed input may not risk a coefficient above this many bits:
-# 4096 bits is 1234 decimal digits, well inside the 4300 that str(int) prints
+# a product or power in parsed input may not risk a coefficient above this
+# many bits: 4096 bits is 1234 decimal digits, well inside the 4300 that
+# str(int) prints
 MAX_POWER_BITS = 4096
+
+
+def _norm_bits(p: Poly) -> int:
+    """Bits of the sum of |coefficients|.  That sum bounds every coefficient
+    and is submultiplicative, so a coefficient of p*f needs at most
+    _norm_bits(p) + _norm_bits(f) bits and one of p^e at most e times p's."""
+    return (sum(abs(c) for c in p._terms.values()) - 1).bit_length()
+
+
+def _check_bits(bits: int) -> None:
+    if bits > MAX_POWER_BITS:
+        raise ExponentOverflow(
+            f"a product's or power's coefficients could pass {MAX_POWER_BITS} bits"
+        )
 
 
 def _tokenize(s: str) -> list:
@@ -462,8 +488,8 @@ def parse(s: str) -> Poly:
     Terms are integer-coefficient products of x<k>, y<k>, q<k>, a<k> joined
     by ``*``, exponents via ``^`` (or ``**``, a literal of at most MAX_EXP),
     combined with ``+``/``-``; parentheses are accepted.  Round-trips with
-    Poly.text().  A power whose coefficients could pass MAX_POWER_BITS bits
-    raises ExponentOverflow before it is computed.
+    Poly.text().  A product or power whose coefficients could pass
+    MAX_POWER_BITS bits raises ExponentOverflow before it is computed.
     """
     return _Parser(_tokenize(s)).parse()
 
@@ -521,35 +547,28 @@ class _Parser:
         # capped whatever the base, so a constant like 2^N cannot build an N-bit int
         if e > MAX_EXP:
             raise ExponentOverflow(f"literal exponent above {MAX_EXP}: {e}")
-        # every coefficient of p^e is at most (sum of |coefficients of p|)^e
-        norm = sum(abs(c) for c in p.terms.values())
-        if e * (norm - 1).bit_length() > MAX_POWER_BITS:
-            raise ExponentOverflow(f"a power's coefficients could pass {MAX_POWER_BITS} bits")
+        _check_bits(e * _norm_bits(p))
         return p**e
 
     def term(self) -> Poly:
         p = self.factor()
-        while True:
+        # "*" or an implicit product, e.g. "3x1" or "2 q1"
+        while self.peek() in ("*", "var", "num", "("):
             if self.peek() == "*":
                 self.take()
-                p = p * self.factor()
-            elif self.peek() in ("var", "num", "("):
-                # implicit product, e.g. "3x1" or "2 q1"
-                p = p * self.factor()
-            else:
-                return p
+            f = self.factor()
+            _check_bits(_norm_bits(p) + _norm_bits(f))
+            p = p * f
+        return p
 
     def expr(self) -> Poly:
-        if self.peek() == "-":
-            self.take()
-            p = -self.term()
-        else:
-            p = self.term()
-        while self.peek() in ("+", "-"):
+        acc: dict = {}
+        op = self.take()[0] if self.peek() == "-" else "+"
+        while True:
+            padd(acc, self.term()._terms, 1 if op == "+" else -1)
+            if self.peek() not in ("+", "-"):
+                return Poly(acc)
             op = self.take()[0]
-            t = self.term()
-            p = p + t if op == "+" else p - t
-        return p
 
 
 __all__ = [

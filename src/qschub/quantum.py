@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 from . import classical, perms
 from .errors import (
     CompositionOutOfBox,
-    ForeignVariables,
     NotGrassmannian,
     NotRestrictedVexillary,
     RankMismatch,
@@ -59,10 +58,7 @@ def q_elementary(k: int, r: int) -> Poly:
 
 def delta(k: int, t: Poly) -> Poly:
     """Delta_k(t|X_k) = sum_{i=0}^{k} e~_i(X_k) t^{k-i}."""
-    out = Poly()
-    for i in range(k + 1):
-        out = out + q_elementary(i, k) * t ** (k - i)
-    return out
+    return Poly.sum(q_elementary(i, k) * t ** (k - i) for i in range(k + 1))
 
 
 @cache
@@ -79,22 +75,18 @@ def q_complete(k: int, r: int) -> Poly:
 
 def q_xy_elementary(m: int, k: int, l: int) -> Poly:
     """e~_m(X_k - Y_l) = sum_j e~_{m-j}(X_k) h_j(Y_l)."""
-    out = Poly()
-    for j in range(m + 1):
-        hj = classical.complete_sym(j, l, Y)
-        if hj:
-            out = out + q_elementary(m - j, k) * hj
-    return out
+    return Poly.sum(
+        q_elementary(m - j, k) * hj
+        for j in range(m + 1)
+        if (hj := classical.complete_sym(j, l, Y))
+    )
 
 
 def q_xy_complete(m: int, k: int, l: int) -> Poly:
     """h~_m(X_k - Y_l) = sum_j h~_{m-j}(X_k) e_j(Y_l)."""
-    out = Poly()
-    for j in range(min(m, l) + 1):
-        ej = classical.elem_sym(j, l, Y)
-        if ej:
-            out = out + q_complete(m - j, k) * ej
-    return out
+    return Poly.sum(
+        q_complete(m - j, k) * classical.elem_sym(j, l, Y) for j in range(min(m, l) + 1)
+    )
 
 
 # -- the top cell and divided-difference chains --------------------------------
@@ -123,17 +115,16 @@ def _w0_y_slice(n: int, want: int) -> tuple[tuple[Poly, Poly], ...]:
         # after this factor the remaining ones add at most total - done, so
         # any bucket below `floor` can never climb back up to `want`
         floor = max(0, want - (total - done))
-        nxt = [Poly() for _ in range(want + 1)]
-        for k in range(i + 1):
-            ek = q_elementary(k, i)
-            if not ek:
-                continue
-            d = i - k
-            piece = ek * yv ** d
-            for j in range(max(0, floor - d), want + 1 - d):
-                if slices[j]:
-                    nxt[j + d] = nxt[j + d] + slices[j] * piece
-        slices = nxt
+        # the factor's terms e~_k(X_i) y^d with d = i - k, by descending d
+        pieces = [
+            (i - k, ek * yv ** (i - k)) for k in range(i + 1) if (ek := q_elementary(k, i))
+        ]
+        slices = [
+            Poly.sum(slices[t - d] * piece for d, piece in pieces if d <= t and slices[t - d])
+            if t >= floor
+            else Poly()
+            for t in range(want + 1)
+        ]
     return tuple(slices[want].split_family(Y))
 
 
@@ -157,13 +148,12 @@ def _q_double_schubert(w: Perm) -> Poly:
     # y-degree by l(v), so the slices below l(v) contribute nothing
     n = len(w)
     word = perms.reduced_word(perms.compose(w, perms.longest(n)))
-    out = Poly()
-    for want in range(len(word), n * (n - 1) // 2 + 1):
-        for m, c in _w0_y_slice(n, want):
-            k = classical.apply_word(m, word, Y)
-            if k:
-                out = out + k * c
-    return out
+    return Poly.sum(
+        k * c
+        for want in range(len(word), n * (n - 1) // 2 + 1)
+        for m, c in _w0_y_slice(n, want)
+        if (k := classical.apply_word(m, word, Y))
+    )
 
 
 def q_schubert(w: Perm, n: int | None = None) -> Poly:
@@ -175,14 +165,15 @@ def q_schubert(w: Perm, n: int | None = None) -> Poly:
 def _q_schubert(w: Perm) -> Poly:
     # y = 0 keeps only the slice whose y-degree l(v) drops to 0
     word = perms.reduced_word(perms.compose(w, perms.longest(len(w))))
-    out = Poly()
-    for m, c in _w0_y_slice(len(w), len(word)):
-        k = classical.apply_word(m, word, Y)
-        if k.variables():
-            raise AssertionError("y chain left y variables behind")
-        if k:
-            out = out + k.constant_term() * c
-    return out
+    return Poly.sum(_chain_integer(m, word) * c for m, c in _w0_y_slice(len(w), len(word)))
+
+
+def _chain_integer(m: Poly, word) -> int:
+    """d^y_word(m) for a y-monomial m of degree len(word): an integer."""
+    k = classical.apply_word(m, word, Y)
+    if k.variables():
+        raise AssertionError("y chain left y variables behind")
+    return k.constant_term()
 
 
 # everything above that descends from e~, cleared whenever the override changes
@@ -214,10 +205,7 @@ def quantize(f: Poly, n: int | None = None) -> Poly:
         return Poly()
     if n is None:
         n = max(len(w) for w in expansion)
-    out = Poly()
-    for w, c in expansion.items():
-        out = out + c * q_schubert(w)
-    return out.restrict(n)
+    return Poly.sum(c * q_schubert(w) for w, c in expansion.items()).restrict(n)
 
 
 # -- determinantal families ----------------------------------------------------
@@ -249,38 +237,18 @@ def q_monomial(alpha: Sequence[int], n: int) -> Poly:
     )
 
 
-def quantize_monomial_route(f: Poly, n: int) -> Poly:
-    """Quantization by direct monomial substitution: replace each x^alpha in f
-    by the determinant x~^alpha.  Agrees with quantize() but exercises the
-    h~-determinant machinery instead of the divided-difference chain, which
-    makes it the right ingredient for corruption-sensitive checks."""
-    out = Poly()
-    for factors, c in f.factored_terms():
-        alpha = [0] * max(n - 1, 0)
-        for fam, idx, e in factors:
-            if fam != X:
-                raise ForeignVariables("monomial route expects x variables only")
-            if idx > n - 1 or e > n - 1:
-                raise CompositionOutOfBox(f"x{idx}^{e} is outside the rank-{n} staircase")
-            alpha[idx - 1] = e
-        out = out + c * q_monomial(tuple(alpha), n)
-    return out
-
-
 def q_bjs(w: Perm, n: int | None = None) -> Poly:
     """Billey-Jockusch-Stanley-style sum of quantized monomials over all
     reduced words and their compatible sequences."""
     w = perms.check_perm(w)
     if n is None:
         n = len(w)
-    out = Poly()
-    for word in perms.reduced_words(w):
-        for b in perms.compatible_sequences(word):
-            alpha = [0] * n
-            for letter in b:
-                alpha[letter - 1] += 1
-            out = out + q_monomial(tuple(alpha), n)
-    return out
+    # a compatible sequence b contributes x~^alpha, alpha_i = #{k : b_k = i}
+    return Poly.sum(
+        q_monomial(tuple(b.count(i) for i in range(1, n + 1)), n)
+        for word in perms.reduced_words(w)
+        for b in perms.compatible_sequences(word)
+    )
 
 
 def q_flagged(lam, mu=None, kind: str = "row", xflags=(), yflags=()) -> Poly:

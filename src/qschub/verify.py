@@ -10,7 +10,6 @@ aggregate exit status ignores the conjecture suite.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -70,9 +69,6 @@ class Report:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    def as_json(self) -> str:
-        return json.dumps(self.as_json_obj(), sort_keys=False)
-
     def text(self) -> str:
         head = f"suite {self.suite}: {self.cases} cases, " + (
             "ok" if self.ok else f"{len(self.failures)} FAILED"
@@ -105,6 +101,11 @@ def _classical_in_y(w: perms.Perm) -> Poly:
     return classical.schubert(w).rename_family(X, Y)
 
 
+def _double_in_a(w: perms.Perm, n: int) -> Poly:
+    """S~_w(x, a): the quantum double polynomial at rank n with y->a."""
+    return quantum.q_double_schubert(w, n).rename_family(Y, A)
+
+
 def _double_in_y_minus_a(w: perms.Perm) -> Poly:
     """S_w(y, -a): the classical double polynomial with x->y and y->-a."""
     g = classical.double_schubert(w)
@@ -135,27 +136,27 @@ def suite_cauchy(n: int) -> Report:
         w0 = perms.longest(n)
         top = quantum.q_w0_double(n)
 
-        acc = Poly()
-        for w in perms.permutations(n):
-            acc = acc + quantum.q_schubert(w) * _classical_in_y(perms.compose(w, w0))
+        acc = Poly.sum(
+            quantum.q_schubert(w) * _classical_in_y(perms.compose(w, w0))
+            for w in perms.permutations(n)
+        )
         rep.check(f"single-expansion n={n}", acc, top)
 
-        acc = Poly()
-        for w in perms.permutations(n):
-            f = quantum.q_double_schubert(w, n).rename_family(Y, A)
-            acc = acc + f * _double_in_y_minus_a(perms.compose(w, w0))
+        acc = Poly.sum(
+            _double_in_a(w, n) * _double_in_y_minus_a(perms.compose(w, w0))
+            for w in perms.permutations(n)
+        )
         rep.check(f"double-expansion n={n}", acc, top)
 
         for w in perms.permutations(n):
             winv = perms.inverse(w)
             lw = perms.length(w)
-            acc = Poly()
-            for u in perms.permutations(n):
-                v = perms.compose(u, winv)
-                if perms.length(u) + perms.length(v) != lw:
-                    continue
-                f = quantum.q_double_schubert(u, n).rename_family(Y, A)
-                acc = acc + f * _double_in_y_minus_a(v)
+            pairs = ((u, perms.compose(u, winv)) for u in perms.permutations(n))
+            acc = Poly.sum(
+                _double_in_a(u, n) * _double_in_y_minus_a(v)
+                for u, v in pairs
+                if perms.length(u) + perms.length(v) == lw
+            )
             rep.check(f"orthogonality n={n} w={perms.as_text(w)}", acc, quantum.q_double_schubert(w, n))
     return rep
 
@@ -223,10 +224,12 @@ def suite_schur(n: int) -> Report:
         # straightening kernel: sum_j (-1)^j e~_{m-j}(X_{n'+m-1}) h~_j(X_n') == [m=0]
         for np_ in range(1, n + 1):
             for m in range(0, 6):
-                s = Poly()
-                for j in range(0, m + 1):
-                    t = quantum.q_elementary(m - j, np_ + m - 1) * quantum.q_complete(j, np_)
-                    s = s + (t if j % 2 == 0 else t * -1)
+                s = Poly.sum(
+                    (-1) ** j
+                    * quantum.q_elementary(m - j, np_ + m - 1)
+                    * quantum.q_complete(j, np_)
+                    for j in range(m + 1)
+                )
                 rep.check(
                     f"straightening n={np_} m={m}", s, Poly.const(1 if m == 0 else 0)
                 )
@@ -239,12 +242,7 @@ def suite_schur(n: int) -> Report:
                 lamp = lam + (0,) * np_
                 det = determinant(
                     [
-                        [
-                            quantum.q_complete(lamp[i] - i + j, np_ - j)
-                            if lamp[i] - i + j >= 0
-                            else Poly()
-                            for j in range(np_)
-                        ]
+                        [quantum.q_complete(lamp[i] - i + j, np_ - j) for j in range(np_)]
                         for i in range(np_)
                     ]
                 )
@@ -286,8 +284,6 @@ def _dual_determinants(lam) -> tuple[Poly, Poly]:
         L.append(
             [
                 quantum.q_xy_elementary(lci - i + j, r - 1 + j, r - lci + i)
-                if lci - i + j >= 0
-                else Poly()
                 for j in range(1, m + 1)
             ]
         )
@@ -299,8 +295,6 @@ def _dual_determinants(lam) -> tuple[Poly, Poly]:
         R.append(
             [
                 quantum.q_xy_complete(lam[i - 1] - i + j, r - j + 1, gamma(i))
-                if lam[i - 1] - i + j >= 0
-                else Poly()
                 for j in range(1, r + 1)
             ]
         )
@@ -406,19 +400,11 @@ def suite_grassmannian(n: int) -> Report:
             for r in range(1, np_):
                 s = np_ - r
                 v = tuple(range(s + 1, np_ + 1)) + tuple(range(1, s + 1))
-                acc = Poly()
-                for lam in perms.partitions_in_box(r, s):
-                    wg = perms.grassmannian_perm(lam, r, np_)
-                    f = quantum.q_double_schubert(wg, np_).rename_family(Y, A)
-                    lamhat = tuple(
-                        s - (lam[r - 1 - i] if r - 1 - i < len(lam) else 0) for i in range(r)
-                    )
-                    lamhat = tuple(e for e in lamhat if e)
-                    if lamhat:
-                        wgh = perms.grassmannian_perm(perms.conjugate(lamhat), s, np_)
-                    else:
-                        wgh = perms.identity(np_)
-                    acc = acc + f * _double_in_y_minus_a(wgh)
+                acc = Poly.sum(
+                    _double_in_a(perms.grassmannian_perm(lam, r, np_), np_)
+                    * _double_in_y_minus_a(_dual_grassmannian(lam, r, s, np_))
+                    for lam in perms.partitions_in_box(r, s)
+                )
                 rep.check(
                     f"factorial-cauchy n={np_} r={r}", acc, quantum.q_double_schubert(v, np_)
                 )
@@ -428,12 +414,7 @@ def suite_grassmannian(n: int) -> Report:
                 r = np_ - s
                 v = tuple(range(s + 1, np_ + 1)) + tuple(range(1, s + 1))
                 M = [
-                    [
-                        quantum.q_xy_elementary(r - i + j, r - 1 + j, i)
-                        if r - i + j >= 0
-                        else Poly()
-                        for j in range(1, s + 1)
-                    ]
+                    [quantum.q_xy_elementary(r - i + j, r - 1 + j, i) for j in range(1, s + 1)]
                     for i in range(1, s + 1)
                 ]
                 rep.check(
@@ -449,6 +430,16 @@ def suite_grassmannian(n: int) -> Report:
                 _WORKED_3412,
             )
     return rep
+
+
+def _dual_grassmannian(lam, r: int, s: int, n: int) -> perms.Perm:
+    """The Grassmannian permutation (descent at s, rank n) whose shape is the
+    conjugate of lam's complement in the r x s box."""
+    lamhat = tuple(s - (lam[r - 1 - i] if r - 1 - i < len(lam) else 0) for i in range(r))
+    lamhat = tuple(e for e in lamhat if e)
+    if not lamhat:
+        return perms.identity(n)
+    return perms.grassmannian_perm(perms.conjugate(lamhat), s, n)
 
 
 _WORKED_3412 = parse(
@@ -516,8 +507,6 @@ def _skew_flagged_double(w: perms.Perm, reading: str) -> Poly:
         M.append(
             [
                 quantum.q_xy_complete(outer[i - 1] - innp[j - 1] - i + j, ph[i - 1], yf[j - 1])
-                if outer[i - 1] - innp[j - 1] - i + j >= 0
-                else Poly()
                 for j in range(1, k + 1)
             ]
         )

@@ -114,7 +114,7 @@ def test_schubert_expand():
 
 def test_apply_word():
     f = classical.staircase(3)
-    assert classical.divided_diff_w(f, perms.longest(3)) == ONE
+    assert classical.apply_word(f, perms.reduced_word(perms.longest(3))) == ONE
     # rightmost letter acts first
     assert classical.apply_word(f, (1, 2)) == f.divided_diff(2).divided_diff(1)
     assert classical.apply_word(f, ()) == f

@@ -176,6 +176,11 @@ def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "compute", "quantize", "--poly", "(2^127)^127*x1", "--n", "3")
     assert code == 2
     assert "4096 bits" in err
+    # and so do long products, whose coefficient text() could not print
+    long_product = "*".join(["2^127"] * 120) + "*x1"
+    code, _, err = run(capsys, "compute", "quantize", "--poly", long_product, "--n", "3")
+    assert code == 2
+    assert "4096 bits" in err
 
 
 def test_internal_error_exit(capsys, monkeypatch):

@@ -29,7 +29,7 @@ from qschub.poly import (
     x,
     y,
 )
-from qschub.quantum import q_complete
+from qschub.quantum import q_complete, q_schubert
 
 
 @st.composite
@@ -92,6 +92,12 @@ def test_exponent_cap():
     for text in ("(2^127)^127", "((2^127)^127)^127", "(2^127)^127*x1", "(x1 + 2^64)^127"):
         with pytest.raises(ExponentOverflow):
             parse(text)
+    # products share the power's budget: 32 factors of 2^127 fit, 33 do not
+    assert parse("*".join(["2^127"] * 32) + "*x1") == Poly.const(2 ** (127 * 32)) * x(1)
+    long_product = "*".join(["2^127"] * 120) + "*x1"
+    for text in (long_product, "(2^127)^32 2^127", "(2^64 + x1)^63*(2^64 + x1)^2"):
+        with pytest.raises(ExponentOverflow):
+            parse(text)
     assert len(str(2**MAX_POWER_BITS)) < 4300  # CPython's str(int) digit limit
 
 
@@ -118,7 +124,8 @@ def test_text_ordering_and_weights():
     # higher total weight prints first
     assert (x(1) + x(1) ** 2).text() == "x1^2 + x1"
     assert (q(2) * x(1) + y(3)).degree() == 3
-    assert (x(1) ** 2 - q(1)).is_homogeneous()
+    # so x1^2 - q1 is homogeneous of degree 2, and a dropped q weight shows
+    assert (x(1) ** 2).degree() == q(1).degree() == (x(1) ** 2 - q(1)).degree() == 2
 
 
 def test_text_letters_override():
@@ -243,7 +250,6 @@ def test_divided_difference_and_division():
     assert f.divided_diff(1).divided_diff(1) == ZERO
     g = y(1) ** 2
     assert g.divided_diff(1, family=Y) == y(1) + y(2)
-    assert f.swap_adjacent(1) == x(2) ** 2 * x(1)
 
 
 def test_json_form():
@@ -251,3 +257,17 @@ def test_json_form():
     obj = p.as_json_obj()
     assert obj["text"] == "x1^2 - q1"
     assert obj["terms"] == [[[["x", 1, 2]], 1], [[["q", 1, 1]], -1]]
+
+
+def test_memoized_results_are_read_only():
+    # q_schubert hands every caller the same memoized Poly, so writing into
+    # one would change the answer for all later callers
+    w = (2, 3, 1)
+    p = q_schubert(w)
+    with pytest.raises(TypeError):
+        p.terms[0] = 1
+    with pytest.raises(AttributeError):
+        p.terms.clear()
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert q_schubert(w) == parse("x1*x2 + q1")

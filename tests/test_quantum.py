@@ -128,13 +128,6 @@ def test_quantize():
         quantum.quantize(parse("y1"), 3)
 
 
-def test_quantize_routes_agree():
-    # Schubert-basis substitution vs monomial-determinant substitution
-    for w in perms.permutations(4):
-        f = classical.schubert(w)
-        assert quantum.quantize_monomial_route(f, 4) == quantum.quantize(f, 4)
-
-
 def test_quantize_of_schubert_is_quantum_schubert():
     for w in perms.permutations(4):
         assert quantum.quantize(classical.schubert(w), 4) == quantum.q_schubert(w)

