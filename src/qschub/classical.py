@@ -149,36 +149,51 @@ def flagged_schur(lam, flags, mu=None) -> Poly:
 # -- expansion in the Schubert basis ------------------------------------------
 
 
+def implied_rank(f: Poly) -> int:
+    """The smallest N whose S_N Schubert polynomials span f: the largest
+    i + e over the factors x_i^e of its terms (0 for a constant)."""
+    return max(
+        (i + e for factors, _ in f.factored_terms() for fam, i, e in factors if fam == X),
+        default=0,
+    )
+
+
 def schubert_expand(f: Poly) -> dict:
     """Coefficients c_w of f = sum c_w S_w (finite; exact integers).
 
     Only x variables are allowed.  c_w is the constant term of d_w f; the
     walk shares prefixes across the weak order and prunes zero images.
+
+    The walk runs in S_N for N = implied_rank(f).  Every exponent vector a
+    of f has a_i <= N - i, and those monomials span the same space as the
+    S_w with w in S_N, so d_w f = 0 for every w outside S_N; each d_i keeps
+    that span.  A node w is keyed by w^-1, the positions of its values: the
+    step to s_i w goes up exactly when value i sits left of value i+1, and
+    it swaps those two entries of w^-1, one lookup and one swap per step.
     """
     bad = [(fam, idx) for fam, idx in f.variables() if fam != X]
     if bad:
         raise ForeignVariables(f"Schubert expansion needs x variables only, found {bad}")
     if not f:
         return {}
-    m = max((idx for _, idx in f.variables()), default=1)
-    ambient = m + f.degree() + 1
-    start = perms.identity(ambient)
     out = {}
-    layer = {start: f}
+    layer = {perms.identity(max(implied_rank(f), 1)): f}
     while layer:
         nxt: dict = {}
-        for w, g in layer.items():
+        for pos, g in layer.items():
             c = g.constant_term()
             if c:
-                out[perms.trim(w)] = c
+                out[perms.trim(perms.inverse(pos))] = c
+            # g stays in the span of S_N, so its variables stop short of x_N
             top = max((idx for _, idx in g.variables()), default=0)
             for i in range(1, top + 1):
-                v = perms.compose(_s(ambient, i), w)
-                if perms.length(v) <= perms.length(w) or v in nxt:
+                if pos[i - 1] > pos[i]:  # value i right of i+1: s_i w is shorter
+                    continue
+                v = perms.times_s(pos, i)
+                if v in nxt:
                     continue
                 h = g.divided_diff(i, X)
                 if h:
                     nxt[v] = h
         layer = nxt
     return out
-

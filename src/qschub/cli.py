@@ -17,10 +17,11 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 
 from . import classical, perms, quantum, verify
 from .errors import QschubError
-from .poly import X, Y, Poly, parse
+from .poly import Y, Poly, parse
 
 DEFAULT_MAX_N = 6
 
@@ -32,7 +33,10 @@ def _ints(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in s.split(","))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; parse_args keeps
+    no state in it."""
     ap = argparse.ArgumentParser(
         prog="qschub",
         description="Quantum Schubert polynomials, Schur-type determinants, "
@@ -116,15 +120,6 @@ def _guard(args, *dims: int | None) -> None:
         )
 
 
-def _implied_rank(f: Poly) -> int:
-    """The smallest N whose S_N Schubert polynomials span f: the largest
-    i + e over the factors x_i^e of its terms."""
-    return max(
-        (i + e for factors, _ in f.factored_terms() for fam, i, e in factors if fam == X),
-        default=0,
-    )
-
-
 def _emit_poly(args, p: Poly, **meta) -> int:
     letters = {Y: "a"} if args.alphabet == "a" else None
     if args.format == "json":
@@ -172,7 +167,7 @@ def _cmd_compute(args) -> int:
     if what == "quantize":
         f = parse(need("poly", args.poly))
         n = need("n", args.n)
-        _guard(args, n, _implied_rank(f))
+        _guard(args, n, classical.implied_rank(f))
         return _emit_poly(args, quantum.quantize(f, n), op=what, n=n)
 
     if what == "qmonomial":

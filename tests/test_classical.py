@@ -110,6 +110,25 @@ def test_schubert_expand():
     assert back == g
     with pytest.raises(Exception):
         classical.schubert_expand(x(1) + y(1))
+    # each S_w expands to itself, keyed by w at its minimal rank
+    for n in range(1, 6):
+        for w in perms.permutations(n):
+            assert classical.schubert_expand(classical.schubert(w)) == {perms.trim(w): 1}
+    # a fixed integer combination over S_4 and S_5 comes back exactly
+    combo = {(4, 1, 3, 2): 2, (2, 4, 1, 3): -5, (3, 5, 1, 4, 2): 7, (1, 2, 5, 4, 3): -1}
+    f = Poly.sum(c * classical.schubert(w) for w, c in combo.items())
+    assert classical.schubert_expand(f) == combo
+    assert classical.schubert_expand(Poly.const(-4)) == {(1,): -4}
+    assert classical.schubert_expand(x(2)) == {(2, 1): -1, (1, 3, 2): 1}
+    # x1^12 = S_w for the dominant w of code (12): rank 13
+    assert classical.schubert_expand(x(1) ** 12) == {(13,) + tuple(range(1, 13)): 1}
+
+
+def test_implied_rank():
+    assert classical.implied_rank(Poly.const(3)) == 0
+    assert classical.implied_rank(x(2)) == 3
+    assert classical.implied_rank(x(1) ** 12) == 13
+    assert classical.implied_rank(parse("x1^2*x2 + x3")) == 4
 
 
 def test_apply_word():

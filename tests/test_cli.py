@@ -197,6 +197,30 @@ def test_internal_error_exit(capsys, monkeypatch):
     assert "Traceback" in err
 
 
+def test_cached_parser_keeps_no_state(capsys):
+    """The parser is built once per process; no call leaks into the next."""
+    code, out, _ = run(capsys, "--format", "json", "compute", "schubert", "--w", "132")
+    assert code == 0
+    assert json.loads(out)["poly"]["text"] == "x1 + x2"
+    code, out, _ = run(capsys, "compute", "schubert", "--w", "132")
+    assert code == 0
+    assert out == "x1 + x2\n"
+    code, _, err = run(capsys, "--max-n", "3", "compute", "qschubert", "--w", "4321")
+    assert code == 2
+    assert "--max-n 3" in err
+    code, out, _ = run(capsys, "compute", "qschubert", "--w", "4321")
+    assert code == 0
+    assert parse(out.strip()) == quantum.q_schubert((4, 3, 2, 1))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "qschubert", "--w", "132", "--n", "three"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "compute", "qschubert", "--w", "132", "--n", "3")
+    assert code == 0
+    assert out == "x1 + x2\n"
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_missing_required_option(capsys):
     code, _, err = run(capsys, "compute", "qschubert")
     assert code == 2
