@@ -4,6 +4,11 @@
 ``q_schubert(w)`` and ``q_double_schubert(w)`` for every w in S_1..S_5, and the
 ``run_all(5)`` reports as JSON without ``elapsed_ms``.  Any change of the
 monomial encoding must reproduce it exactly; it is not regenerated.
+
+``data/golden_s6.json`` holds the sha256 of ``json.dumps`` of the rank-6
+identity suite reports, again without ``elapsed_ms``, recorded before the
+determinant was changed to accumulate its minors in place.  Checking them
+takes about a minute, so that test is marked slow.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ import pytest
 
 from qschub import perms, quantum, verify
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_s5.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_s5.json").read_text())
 
 
 def _digest(p) -> str:
@@ -42,3 +48,15 @@ def test_golden_run_all():
     assert [r["suite"] for r in got] == [r["suite"] for r in want]
     bad = [f"{i}:{w['suite']}" for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert not bad, f"run_all(5) reports differ from the golden ones in suites {bad}"
+
+
+@pytest.mark.slow
+def test_golden_rank6_suites():
+    want = json.loads((DATA / "golden_s6.json").read_text())
+    bad = []
+    for name, digest in want.items():
+        obj = getattr(verify, name)(6).as_json_obj()
+        del obj["elapsed_ms"]
+        if hashlib.sha256(json.dumps(obj).encode()).hexdigest() != digest:
+            bad.append(name)
+    assert not bad, f"rank-6 reports differ from the golden ones in {bad}"
