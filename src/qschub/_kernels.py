@@ -5,8 +5,8 @@ monomial is one non-negative int, a packed exponent vector in the manner of
 Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007): variable code s owns the byte at bits
 [8s, 8s + 8), which holds its exponent.  The constant monomial is 0.  Which
-variable has which code is the caller's business (see poly.py).  padd is
-the one op that writes into a dict it is given (its accumulator); the others
+variable has which code is the caller's business (see poly.py).  padd and
+pmul write into a dict they are given (an accumulator); pswap and pdivdiff
 return a new dict.
 
 The top bit of every byte is a guard bit, so exponents run from 0 to
@@ -53,26 +53,35 @@ def padd(acc: dict, p: dict, c: int = 1) -> dict:
     return acc
 
 
-def pmul(p1: dict, p2: dict) -> dict:
-    """Product of two polynomials; ExponentOverflow past MAX_EXP."""
-    if not p1 or not p2:
-        return {}
+def pmul(p1: dict, p2: dict, acc: dict | None = None, c: int = 1) -> dict:
+    """Add c * p1 * p2 into acc in place and return acc (a new dict when acc
+    is None); ExponentOverflow past MAX_EXP.
+
+    The one multiply loop: each product term goes straight into the
+    accumulator, so no temporary product is built and walked again.  Neither
+    p1 nor p2 may be acc.
+    """
+    if acc is None:
+        acc = {}
+    if not c or not p1 or not p2:
+        return acc
     if len(p1) > len(p2):
         p1, p2 = p2, p1
-    out: dict = {}
-    get = out.get
+    get = acc.get
     items2 = p2.items()
     for m1, c1 in p1.items():
+        c1 *= c
         for m2, c2 in items2:
             m = m1 + m2
             s = get(m, 0) + c1 * c2
             if s:
-                out[m] = s
+                acc[m] = s
             else:
-                del out[m]
-    if reduce(or_, out, 0) & GUARD:
+                del acc[m]
+    # acc came in guard-free, so a guard bit can only be this call's doing
+    if reduce(or_, acc, 0) & GUARD:
         raise ExponentOverflow(f"a product has an exponent above {MAX_EXP}")
-    return out
+    return acc
 
 
 def pswap(p: dict, u: int, v: int) -> dict:

@@ -152,10 +152,9 @@ def flagged_schur(lam, flags, mu=None) -> Poly:
 def implied_rank(f: Poly) -> int:
     """The smallest N whose S_N Schubert polynomials span f: the largest
     i + e over the factors x_i^e of its terms (0 for a constant)."""
-    return max(
-        (i + e for factors, _ in f.factored_terms() for fam, i, e in factors if fam == X),
-        default=0,
-    )
+    # an index that does not occur adds i + 0, below the largest index's
+    # own i + e, so it never gives the maximum
+    return max((i + f.degree_in(X, i) for i in range(1, f.max_index(X) + 1)), default=0)
 
 
 def schubert_expand(f: Poly) -> dict:
@@ -185,8 +184,7 @@ def schubert_expand(f: Poly) -> dict:
             if c:
                 out[perms.trim(perms.inverse(pos))] = c
             # g stays in the span of S_N, so its variables stop short of x_N
-            top = max((idx for _, idx in g.variables()), default=0)
-            for i in range(1, top + 1):
+            for i in range(1, g.max_index(X) + 1):
                 if pos[i - 1] > pos[i]:  # value i right of i+1: s_i w is shorter
                     continue
                 v = perms.times_s(pos, i)

@@ -20,10 +20,9 @@ import traceback
 from functools import cache
 
 from . import classical, perms, quantum, verify
-from .errors import QschubError
+from .errors import QschubError, RankTooLarge
 from .poly import Y, Poly, parse
-
-DEFAULT_MAX_N = 6
+from .quantum import DEFAULT_MAX_N
 
 
 def _ints(s: str) -> tuple[int, ...]:
@@ -167,8 +166,12 @@ def _cmd_compute(args) -> int:
     if what == "quantize":
         f = parse(need("poly", args.poly))
         n = need("n", args.n)
-        _guard(args, n, classical.implied_rank(f))
-        return _emit_poly(args, quantum.quantize(f, n), op=what, n=n)
+        _guard(args, n)
+        try:
+            p = quantum.quantize(f, n, args.max_n)
+        except RankTooLarge as exc:
+            raise QschubError(f"{exc}: raise --max-n explicitly if you accept the runtime")
+        return _emit_poly(args, p, op=what, n=n)
 
     if what == "qmonomial":
         alpha = _ints(need("alpha", args.alpha))

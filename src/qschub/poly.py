@@ -171,6 +171,19 @@ class Poly:
         """Sorted list of (family, index) pairs occurring in the polynomial."""
         return sorted(vsplit(k) for k in _codes(reduce(or_, self._terms, 0)))
 
+    def max_index(self, family: int) -> int:
+        """The largest index of the family occurring in the polynomial (0 if
+        none): the top set byte of the family's bytes in the OR of the
+        monomials, found with no sort."""
+        width = reduce(or_, self._terms, 0)
+        top = width & _family_mask(family, width)
+        return vsplit((top.bit_length() - 1) // WIDTH)[1] if top else 0
+
+    def degree_in(self, family: int, index: int) -> int:
+        """The largest exponent of one variable (0 if it does not occur)."""
+        shift = WIDTH * vcode(family, index)
+        return max(((m >> shift) & FIELD for m in self._terms), default=0)
+
     def degree(self) -> int:
         """Largest weighted total degree (0 for the zero polynomial)."""
         return max((_wdeg(m) for m in self._terms), default=0)
@@ -384,13 +397,23 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
 
     Laplace expansion along rows, memoized on the set of unused columns —
     exponentially better than naive expansion on the structured matrices
-    here, and exact since everything stays in Z[x,y,q].
+    here, and exact since everything stays in Z[x,y,q].  Each minor is one
+    accumulator: every entry times its sub-minor is multiplied into it in
+    place (pmul), with no temporary product.
+
+    The first row multiplies the largest minors and the lower rows build
+    them, so the heavier line should come first.  When the last column has
+    more terms than the first row, the anti-transpose
+    B[i][j] = A[n-1-j][n-1-i] is expanded instead: B = J A^T J with J the
+    reversal, so det B = det A, and B's first row is A's last column.
     """
     n = len(rows)
     if n == 0:
         return Poly.const(1)
     if any(len(r) != n for r in rows):
         raise NonSquare(f"matrix is not square: {n} rows, {[len(r) for r in rows]} columns")
+    if sum(len(r[-1]) for r in rows) > sum(len(e) for e in rows[0]):
+        rows = [[rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
     full = (1 << n) - 1
     # minor(mask) = det of the submatrix on rows popcount..n-1, columns in mask
     cache: dict[int, dict] = {0: {0: 1}}
@@ -410,7 +433,7 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
             if entry:
                 sub = minor(mask & ~bit)
                 if sub:
-                    padd(acc, pmul(entry, sub), sign)
+                    pmul(entry, sub, acc, sign)
             sign = -sign
         cache[mask] = acc
         return acc

@@ -28,11 +28,16 @@ from .errors import (
     NotGrassmannian,
     NotRestrictedVexillary,
     RankMismatch,
+    RankTooLarge,
     ShapeOutOfBox,
 )
 from .poly import Poly, Q, X, Y, determinant, q, x, y
 
 Perm = perms.Perm
+
+# the desk-scale rank: quantize refuses a polynomial that implies more, and the
+# CLI's --max-n defaults to it
+DEFAULT_MAX_N = 6
 
 # overridable elementary polynomials: the verification suites use this hook to
 # inject a corrupted e~ and prove the identity checks actually bite
@@ -193,13 +198,19 @@ def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> Non
         memo.cache_clear()
 
 
-def quantize(f: Poly, n: int | None = None) -> Poly:
+def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
     """Quantization: expand in Schubert polynomials, substitute the quantum
     ones, then project to the rank-n ring (x_{>n} and q_{>=n} vanish).
 
     The default n is the largest minimal rank among the support permutations,
     which leaves every deformation term the expansion produces alive.
+    RankTooLarge, before any work, when f implies a rank above max_n
+    (classical.implied_rank): the quantum Schubert polynomials run at that
+    rank, whatever n is, and their cost grows fast with it.
     """
+    rank = classical.implied_rank(f)
+    if rank > max_n:
+        raise RankTooLarge(f"rank {rank} implied by the polynomial exceeds max_n {max_n}")
     expansion = classical.schubert_expand(f)
     if not expansion:
         return Poly()

@@ -7,10 +7,12 @@ their term dicts.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub import _kernels, poly
+from qschub.errors import ExponentOverflow
 from qschub._kernels import padd, pdivdiff, pmul, pswap
 from qschub.poly import A, Q, X, Y, Poly, monomial, vcode, x
 
@@ -74,6 +76,38 @@ def test_padd_accumulates_in_place(p1, p2, c):
     assert acc == {m: k for m in p1.keys() | p2.keys() if (k := p1.get(m, 0) + c * p2.get(m, 0))}
     # cancelled monomials are deleted, never kept with coefficient 0
     assert 0 not in acc.values()
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), polys(), st.integers(min_value=-3, max_value=3))
+def test_pmul_accumulates_in_place(acc0, p1, p2, c):
+    acc, before1, before2 = dict(acc0), dict(p1), dict(p2)
+    got = pmul(p1, p2, acc, c)
+    assert got is acc
+    assert (p1, p2) == (before1, before2)
+    want = dict(acc0)
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            want[m1 + m2] = want.get(m1 + m2, 0) + c * c1 * c2
+    assert acc == {m: k for m, k in want.items() if k}
+    # cancelled monomials are deleted, never kept with coefficient 0
+    assert 0 not in acc.values()
+    # without an accumulator the product goes into a new dict
+    assert pmul(p1, p2, None, c) == pmul(p1, p2, {}, c) == padd({}, pmul(p1, p2), c)
+
+
+def test_pmul_cancels_into_the_accumulator():
+    sq = dict((x(1) * x(2)).terms)
+    acc = {**sq, 1: 5}
+    assert pmul(dict(x(1).terms), dict(x(2).terms), acc, -1) is acc
+    assert acc == {1: 5}
+
+
+def test_pmul_overflow_survives_accumulation():
+    half = dict((x(1) ** 64).terms)
+    for acc in (None, {}, {0: 1}, dict(half)):
+        with pytest.raises(ExponentOverflow):
+            pmul(half, half, acc)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qschub.poly as poly_module
 from qschub.errors import ExponentOverflow, NonSquare, VariableOutOfRange
 from qschub.poly import (
     A,
@@ -208,6 +210,74 @@ def test_determinant():
         determinant([[x(1), x(2)]])
 
 
+def _cofactor(m) -> Poly:
+    """Plain cofactor expansion along the first row."""
+    if not m:
+        return ONE
+    return Poly.sum(
+        (-1) ** j * e * _cofactor([r[:j] + r[j + 1 :] for r in m[1:]])
+        for j, e in enumerate(m[0])
+    )
+
+
+def test_determinant_matches_cofactor_expansion(monkeypatch):
+    rng = random.Random(8)
+    gens = [x(1), x(2), x(3), y(1), y(2), q(1), q(2)]
+
+    def entry() -> Poly:
+        if rng.random() < 0.25:
+            return Poly()
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            t = Poly.const(rng.choice([-3, -2, -1, 1, 2, 3]))
+            for _ in range(rng.randint(0, 2)):
+                t = t * rng.choice(gens)
+            terms.append(t)
+        return Poly.sum(terms)
+
+    # every 1x1 minor is the shared constant 1, which is the second factor of
+    # the very first multiplication; its first factors form the bottom row
+    calls = []
+    real = poly_module.pmul
+
+    def spy(p1, p2, acc=None, c=1):
+        calls.append((p1, p2))
+        return real(p1, p2, acc, c)
+
+    flips = set()
+    for n in [1, 2] * 5 + [3, 4, 5] * 20:
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        want = _cofactor(m)
+        calls.clear()
+        monkeypatch.setattr(poly_module, "pmul", spy)
+        assert determinant(m) == want
+        monkeypatch.undo()
+        if not calls:
+            continue
+        one = calls[0][1]
+        bottom = [p1 for p1, p2 in calls if p2 is one]
+        # the rule: expand the anti-transpose when the last column is heavier
+        # than the first row; the expanded matrix's bottom row is then the
+        # first column, else the last row
+        flipped = sum(len(r[-1]) for r in m) > sum(len(e) for e in m[0])
+        last_row = [e._terms for e in m[-1]]
+        first_col = [r[0]._terms for r in m]
+        line, other = (first_col, last_row) if flipped else (last_row, first_col)
+        assert all(any(p is t for t in line) for p in bottom)
+        if n > 1 and not all(any(p is t for t in other) for p in bottom):
+            flips.add(flipped)
+    assert flips == {False, True}
+
+
+def test_determinant_overflow():
+    # products inside a minor are checked as they are accumulated
+    half = x(1) ** 64
+    for m in ([[half, ZERO], [ZERO, half]], [[half, ONE], [y(1), half]]):
+        with pytest.raises(ExponentOverflow):
+            determinant(m)
+    assert determinant([[x(1) ** 63, ONE], [ONE, x(1) ** 64]]) == x(1) ** 127 - 1
+
+
 def test_determinant_frees_its_memo():
     # the memo of partial minors must go with the call, not wait for a gc pass
     m = [[q_complete(2 - i + j, i + 1) for j in range(4)] for i in range(4)]
@@ -228,6 +298,17 @@ def test_parse_frees_its_state():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_max_index_and_degree_in():
+    p = parse("x1^2*x3 + 4*y5*x1 - q2^3")
+    assert [p.max_index(f) for f in (X, Y, Q, A)] == [3, 5, 2, 0]
+    assert [p.degree_in(X, i) for i in (1, 2, 3, 4)] == [2, 0, 1, 0]
+    assert p.degree_in(Q, 2) == 3
+    assert ZERO.max_index(X) == ONE.max_index(X) == ONE.degree_in(X, 1) == 0
+    assert x(MAX_INDEX).max_index(X) == MAX_INDEX
+    assert a(MAX_INDEX).max_index(A) == MAX_INDEX
+    assert (x(1) ** 127).degree_in(X, 1) == 127
 
 
 def test_split_family():

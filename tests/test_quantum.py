@@ -3,6 +3,8 @@ determinants, quantization, and stable approximants."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from qschub import classical, perms, quantum
@@ -10,6 +12,7 @@ from qschub.errors import (
     CompositionOutOfBox,
     ForeignVariables,
     RankMismatch,
+    RankTooLarge,
     ShapeOutOfBox,
 )
 from qschub.poly import ONE, Poly, Q, X, Y, ZERO, parse, q, x, y
@@ -126,6 +129,18 @@ def test_quantize():
     assert quantum.quantize(f + g, 3) == quantum.quantize(f, 3) + quantum.quantize(g, 3)
     with pytest.raises(ForeignVariables):
         quantum.quantize(parse("y1"), 3)
+
+
+def test_quantize_rank_guard():
+    # x1^7 implies S_8: refused before any quantum Schubert polynomial is built
+    t0 = time.perf_counter()
+    with pytest.raises(RankTooLarge, match="rank 8"):
+        quantum.quantize(parse("x1^7"))
+    assert time.perf_counter() - t0 < 0.5  # unguarded, it takes about 2 s
+    with pytest.raises(RankTooLarge):
+        quantum.quantize(parse("x1^2"), 3, max_n=2)
+    assert quantum.quantize(parse("x1^2"), 3) == parse("x1^2 - q1")
+    assert quantum.quantize(parse("x1^2"), 3, max_n=3) == parse("x1^2 - q1")
 
 
 def test_quantize_of_schubert_is_quantum_schubert():
