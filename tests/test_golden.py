@@ -8,7 +8,7 @@ monomial encoding must reproduce it exactly; it is not regenerated.
 ``data/golden_s6.json`` holds the sha256 of ``json.dumps`` of the rank-6
 identity suite reports, again without ``elapsed_ms``, recorded before the
 determinant was changed to accumulate its minors in place.  Checking them
-takes about a minute, so that test is marked slow.
+takes about two minutes on a 2-vCPU VM, so that test is marked slow.
 """
 
 from __future__ import annotations

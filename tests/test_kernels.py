@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub import _kernels, poly
-from qschub.errors import ExponentOverflow
 from qschub._kernels import padd, pdivdiff, pmul, pswap
+from qschub.errors import ExponentOverflow
 from qschub.poly import A, Q, X, Y, Poly, monomial, vcode, x
 
 U, V = vcode(X, 1), vcode(X, 2)
