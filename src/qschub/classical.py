@@ -14,7 +14,7 @@ from functools import cache
 
 from . import perms
 from .errors import ForeignVariables
-from .poly import Poly, Q, X, Y, determinant, monomial, x, y
+from .poly import Poly, Q, X, Y, jacobi_trudi, monomial, x, y
 
 Perm = perms.Perm
 
@@ -125,25 +125,7 @@ def complete_sym(k: int, r: int, family: int = X) -> Poly:
 
 def schur(lam, r: int) -> Poly:
     """Schur polynomial s_lam(x_1..x_r) via the h-determinant."""
-    lam = perms.check_partition(lam)
-    m = len(lam)
-    return determinant(
-        [[complete_sym(lam[i] - i + j, r) for j in range(m)] for i in range(m)]
-    )
-
-
-def flagged_schur(lam, flags, mu=None) -> Poly:
-    """Row-flagged (skew) Schur polynomial det(h_{lam_i - mu_j - i + j}(X_{f_i}))."""
-    lam = perms.check_partition(lam)
-    perms.check_flags(lam, flags)
-    m = len(lam)
-    mu = tuple(mu or ()) + (0,) * (m - len(mu or ()))
-    return determinant(
-        [
-            [complete_sym(lam[i] - mu[j] - i + j, flags[i]) for j in range(m)]
-            for i in range(m)
-        ]
-    )
+    return jacobi_trudi(lambda k, i, j: complete_sym(k, r), perms.check_partition(lam))
 
 
 # -- expansion in the Schubert basis ------------------------------------------

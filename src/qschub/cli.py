@@ -106,17 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _guard(args, *dims: int | None) -> None:
     for d in dims:
+        if d is not None and d < 0:
+            raise QschubError(f"rank {d} is negative")
         if d is not None and d > args.max_n:
             raise QschubError(
                 f"rank {d} exceeds the guard --max-n {args.max_n}; raise it "
                 "explicitly if you accept the runtime"
             )
-    if args.max_n > DEFAULT_MAX_N:
-        print(
-            f"warning: --max-n {args.max_n} is above the desk-scale default "
-            f"{DEFAULT_MAX_N}; large ranks can take very long",
-            file=sys.stderr,
-        )
 
 
 def _emit_poly(args, p: Poly, **meta) -> int:
@@ -210,6 +206,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    _guard(args, args.n)
     members = perms.enumerate_class(args.n, args.cls)
     if args.format == "json":
         obj = {"class": args.cls, "n": args.n}
@@ -237,6 +234,12 @@ def _cmd_conjecture(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.max_n > DEFAULT_MAX_N:
+        print(
+            f"warning: --max-n {args.max_n} is above the desk-scale default "
+            f"{DEFAULT_MAX_N}; large ranks can take very long",
+            file=sys.stderr,
+        )
     try:
         if args.verb == "compute":
             return _cmd_compute(args)

@@ -206,12 +206,12 @@ CLASS_TESTS = {
 }
 
 
-def enumerate_class(n: int, cls: str, max_n: int = ENUMERATION_CAP) -> list[Perm]:
+def enumerate_class(n: int, cls: str) -> list[Perm]:
     """All members of a class in S_n, lexicographic order."""
     if cls not in CLASS_TESTS:
         raise ValueError(f"unknown class {cls!r}; choose from {sorted(CLASS_TESTS)}")
-    if n > max_n:
-        raise RankTooLarge(f"rank {n} exceeds the enumeration cap {max_n}")
+    if n > ENUMERATION_CAP:
+        raise RankTooLarge(f"rank {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     test = CLASS_TESTS[cls]
     return [w for w in permutations(n) if test(w)]
 

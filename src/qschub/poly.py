@@ -253,17 +253,6 @@ class Poly:
             out[m - part + (part << shift if shift >= 0 else part >> -shift)] = c
         return Poly(out)
 
-    def split_family(self, family: int) -> list[tuple["Poly", "Poly"]]:
-        """Group by the monomials of one family: pairs (m, c) with
-        self = sum m*c, m a monomial of the family with coefficient 1 and c
-        free of the family.  The zero polynomial gives []."""
-        mask = _family_mask(family, reduce(or_, self._terms, 0))
-        groups: dict = {}
-        for m, c in self._terms.items():
-            part = m & mask
-            groups.setdefault(part, {})[m - part] = c
-        return [(Poly({part: 1}), Poly(rest)) for part, rest in groups.items()]
-
     def negate_family(self, family: int) -> "Poly":
         """Substitute v -> -v for every variable of the given family."""
         return Poly(
@@ -446,6 +435,24 @@ def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     return Poly(dict(top))
 
 
+def jacobi_trudi(
+    entry: Callable[[int, int, int], Poly],
+    lam: Sequence[int],
+    mu: Sequence[int] = (),
+    size: int | None = None,
+) -> Poly:
+    """det(entry(lam_i - mu_j - i + j, i, j)) over 0 <= i, j < size.
+
+    The shape of every determinantal formula here: entry(k, i, j) is the
+    degree-k function of row i's and column j's alphabets.  size defaults to
+    len(lam); lam and mu are padded with zeros up to it.
+    """
+    m = len(lam) if size is None else size
+    lam = tuple(lam) + (0,) * (m - len(lam))
+    mu = tuple(mu) + (0,) * (m - len(mu))
+    return determinant([[entry(lam[i] - mu[j] - i + j, i, j) for j in range(m)] for i in range(m)])
+
+
 # -- parsing -----------------------------------------------------------------
 
 # a product or power in parsed input may not risk a coefficient above this
@@ -606,6 +613,7 @@ __all__ = [
     "ZERO",
     "a",
     "determinant",
+    "jacobi_trudi",
     "monomial",
     "parse",
     "q",

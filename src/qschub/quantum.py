@@ -13,8 +13,12 @@ single y-monomials: S~_w = sum_c d^y_{w w_0}(y^c) P_c.  Each operator lowers
 the y-degree by one, so only y-degrees of at least l(w w_0) contribute, and
 for single polynomials (y = 0) only the y-degree slice of exactly l(w w_0),
 where each d^y_{w w_0}(y^c) is an integer.  The slices are built without the
-full product.  q_schubert over all 720 permutations of S_6 takes about 2.3 s
-on a 2-vCPU Xeon VM under CPython 3.11.
+full product: each factor has a y variable of its own, so y^c picks one term
+of every factor and P_c = prod_i e~_{i-c_{n-i}}(X_i), a product over the
+choices that can still reach the slice's degree.  q_schubert over all 720
+permutations of S_6 takes about 2.0 s on a 2-vCPU Xeon VM under CPython 3.11.
+
+Every determinantal family here is poly.jacobi_trudi with its own entry.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Callable, Sequence
 
 from . import classical, perms
 from .errors import (
+    BadFlag,
     CompositionOutOfBox,
     NotGrassmannian,
     NotRestrictedVexillary,
@@ -31,7 +36,7 @@ from .errors import (
     RankTooLarge,
     ShapeOutOfBox,
 )
-from .poly import Poly, Q, X, Y, determinant, q, x, y
+from .poly import Poly, Q, X, Y, jacobi_trudi, q, x, y
 
 Perm = perms.Perm
 
@@ -73,9 +78,7 @@ def q_complete(k: int, r: int) -> Poly:
         return Poly()
     if k == 0:
         return Poly.const(1)
-    return determinant(
-        [[q_elementary(1 - i + j, r + j) for j in range(k)] for i in range(k)]
-    )
+    return jacobi_trudi(lambda d, i, j: q_elementary(d, r + j), (1,) * k)
 
 
 def q_xy_elementary(m: int, k: int, l: int) -> Poly:
@@ -110,27 +113,26 @@ def q_w0_double(n: int) -> Poly:
 def _w0_y_slice(n: int, want: int) -> tuple[tuple[Poly, Poly], ...]:
     """The y-degree-`want` part of S~_{w_0}(x,y), built without the full
     product and grouped by y-monomial: pairs (y^c, P_c), the part being the
-    sum of y^c * P_c with P_c free of y."""
-    total = n * (n - 1) // 2
-    slices: list[Poly] = [Poly.const(1)] + [Poly() for _ in range(want)]
-    done = 0
+    sum of y^c * P_c with P_c free of y.
+
+    Each factor Delta_i(y_{n-i}|X_i) has a y variable of its own, so y^c
+    comes from exactly one term of each factor and P_c is the product
+    prod_i e~_{i-c_{n-i}}(X_i).  The pairs grow factor by factor as partial
+    choices (y^c, P_c, |c|); a choice whose degree cannot reach `want` with
+    the factors still to come, or has passed it, is dropped.
+    """
+    left = n * (n - 1) // 2
+    choices = [(Poly.const(1), Poly.const(1), 0)]
     for i in range(1, n):
+        left -= i
         yv = y(n - i)
-        done += i
-        # after this factor the remaining ones add at most total - done, so
-        # any bucket below `floor` can never climb back up to `want`
-        floor = max(0, want - (total - done))
-        # the factor's terms e~_k(X_i) y^d with d = i - k, by descending d
-        pieces = [
-            (i - k, ek * yv ** (i - k)) for k in range(i + 1) if (ek := q_elementary(k, i))
+        choices = [
+            (m * yv**d, p * ek, deg + d)
+            for m, p, deg in choices
+            for d in range(i + 1)
+            if want - left <= deg + d <= want and (ek := q_elementary(i - d, i))
         ]
-        slices = [
-            Poly.sum(slices[t - d] * piece for d, piece in pieces if d <= t and slices[t - d])
-            if t >= floor
-            else Poly()
-            for t in range(want + 1)
-        ]
-    return tuple(slices[want].split_family(Y))
+    return tuple((m, p) for m, p, _ in choices)
 
 
 def _embed(w: Perm, n: int | None) -> Perm:
@@ -227,25 +229,20 @@ def q_schur(lam, r: int, n: int) -> Poly:
     lam = perms.check_partition(lam)
     if not perms.fits_box(lam, r, n - r):
         raise ShapeOutOfBox(f"{lam} does not fit in a {r}x{n - r} box")
-    m = n - r
-    lamc = perms.conjugate(lam) + (0,) * m
-    return determinant(
-        [[q_elementary(lamc[i] - i + j, r + j) for j in range(m)] for i in range(m)]
-    )
+    return jacobi_trudi(lambda d, i, j: q_elementary(d, r + j), perms.conjugate(lam), size=n - r)
 
 
 def q_monomial(alpha: Sequence[int], n: int) -> Poly:
     """Quantization x~^alpha of the monomial x^alpha, alpha under the staircase."""
     alpha = tuple(alpha)
+    if any(e < 0 for e in alpha):
+        raise CompositionOutOfBox(f"{alpha} has a negative exponent")
     if len(alpha) > max(n - 1, 0) and any(alpha[n - 1 :]):
         raise CompositionOutOfBox(f"{alpha} has entries at or past position {n}")
     alpha = (alpha + (0,) * n)[: n - 1]
     if any(alpha[i] > n - 1 - i for i in range(n - 1)):
         raise CompositionOutOfBox(f"{alpha} is not bounded by the staircase of rank {n}")
-    m = n - 1
-    return determinant(
-        [[q_complete(alpha[i] - i + j, i + 1) for j in range(m)] for i in range(m)]
-    )
+    return jacobi_trudi(lambda d, i, j: q_complete(d, i + 1), alpha, size=n - 1)
 
 
 def q_bjs(w: Perm, n: int | None = None) -> Poly:
@@ -262,115 +259,45 @@ def q_bjs(w: Perm, n: int | None = None) -> Poly:
     )
 
 
-def q_flagged(lam, mu=None, kind: str = "row", xflags=(), yflags=()) -> Poly:
-    """Flagged quantum Schur determinants.
+def q_flagged(lam, mu=(), xflags=(), yflags=None) -> Poly:
+    """Flagged (skew) quantum Schur determinant
+    det(h~_{lam_i - mu_j - i + j}(X_{xflags_i} - Y_{yflags_i})).
 
-    kind="row":    det(h~_{lam_i - mu_j - i + j}(X_{xflags_i}))
-    kind="column": det(e~_{lam'_i - mu'_j - i + j}(X_{xflags_j})), size >= lam_1
-    kind="multi":  det(h~_{lam_i - mu_j - i + j}(X_{xflags_i} - Y_{yflags_j}))
+    Row i takes the difference alphabet X_{xflags_i} - Y_{yflags_i}; with
+    yflags None every row takes X_{xflags_i} alone.
     """
     lam = perms.check_partition(lam)
-    mu = perms.check_partition(mu or ())
-    if kind == "row":
-        perms.check_flags(lam, xflags)
-        m = len(lam)
-        mup = mu + (0,) * (m - len(mu))
-        return determinant(
-            [
-                [q_complete(lam[i] - mup[j] - i + j, xflags[i]) for j in range(m)]
-                for i in range(m)
-            ]
-        )
-    if kind == "column":
-        lamc = perms.conjugate(lam)
-        muc = perms.conjugate(mu)
-        m = len(xflags)
-        if m < (lam[0] if lam else 0):
-            raise ShapeOutOfBox(f"need at least {lam[0]} column flags, got {m}")
-        lp = lamc + (0,) * (m - len(lamc))
-        mp = muc + (0,) * (m - len(muc))
-        return determinant(
-            [
-                [q_elementary(lp[i] - mp[j] - i + j, xflags[j]) for j in range(m)]
-                for i in range(m)
-            ]
-        )
-    if kind == "multi":
-        perms.check_flags(lam, xflags)
-        m = len(lam)
-        if len(yflags) != m:
-            raise ShapeOutOfBox(f"{m} y flags required, got {len(yflags)}")
-        mup = mu + (0,) * (m - len(mu))
-        return determinant(
-            [
-                [
-                    q_xy_complete(lam[i] - mup[j] - i + j, xflags[i], yflags[j])
-                    for j in range(m)
-                ]
-                for i in range(m)
-            ]
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    mu = perms.check_partition(mu)
+    perms.check_flags(lam, xflags)
+    if yflags is None:
+        return jacobi_trudi(lambda d, i, j: q_complete(d, xflags[i]), lam, mu)
+    if len(yflags) != len(lam):
+        raise ShapeOutOfBox(f"{len(lam)} y flags required, got {len(yflags)}")
+    if any(f < 0 for f in yflags):
+        raise BadFlag("y flags must be nonnegative")
+    return jacobi_trudi(lambda d, i, j: q_xy_complete(d, xflags[i], yflags[i]), lam, mu)
 
 
-def q_multi_rowdiff(lam, rows, mu=None) -> Poly:
-    """det(h~_{lam_i - mu_j - i + j}(X_{k_i} - Y_{l_i})) with one difference
-    alphabet per row, rows = [(k_1, l_1), ...]."""
-    lam = perms.check_partition(lam)
-    m = len(lam)
-    if len(rows) != m:
-        raise ShapeOutOfBox(f"{m} rows required, got {len(rows)}")
-    mup = perms.check_partition(mu or ()) + (0,) * m
-    return determinant(
-        [
-            [
-                q_xy_complete(lam[i] - mup[j] - i + j, rows[i][0], rows[i][1])
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
-    )
-
-
-def q_rv_double(
-    w: Perm, n: int | None = None, reading: str = "straight", tie: str = "max"
-) -> Poly:
-    """Determinant formula for S~_w(x,y), w restricted vexillary.
-
-    Row i carries the difference alphabet X_{theta_i} - Y_{thetainv_{g(i)}}
-    with g(i) = lam_i (reading="straight", the default, consistent with the
-    dominant specialization) or g(i) = min(lam'_i, len(thetainv))
-    (reading="clamped").
-    """
+def q_rv_double(w: Perm, n: int | None = None) -> Poly:
+    """Determinant formula for S~_w(x,y), w restricted vexillary: row i
+    carries the difference alphabet X_{theta_i} - Y_{thetainv_{lam_i}}."""
     w = perms.check_perm(w)
     if not perms.is_restricted_vexillary(w):
         raise NotRestrictedVexillary(f"{w} contains one of 2143, 2413, 2431")
     if n is not None and len(w) > n:
         raise RankMismatch(f"{w} does not fit in rank {n}")
     lam = perms.shape(w)
-    theta = perms.flag_theta(w, tie=tie)
-    thetainv = perms.flag_theta(perms.inverse(w), tie=tie)
-    lamc = perms.conjugate(lam)
-    rows = []
-    for i in range(len(lam)):
-        if reading == "straight":
-            yf = thetainv[lam[i] - 1]
-        elif reading == "clamped":
-            gi = min(lamc[i] if i < len(lamc) else 0, len(thetainv))
-            yf = thetainv[gi - 1] if gi else 0
-        else:
-            raise ValueError(f"unknown reading {reading!r}")
-        rows.append((theta[i], yf))
-    return q_multi_rowdiff(lam, rows)
+    thetainv = perms.flag_theta(perms.inverse(w))
+    return q_flagged(lam, xflags=perms.flag_theta(w), yflags=[thetainv[k - 1] for k in lam])
 
 
 def q_dominant_double(w: Perm) -> Poly:
     """det(h~_{lam_i - i + j}(X_i - Y_{lam_i})) for dominant w (shape lam)."""
     lam = perms.shape(w)
-    return q_multi_rowdiff(lam, [(i + 1, lam[i]) for i in range(len(lam))])
+    return q_flagged(lam, xflags=range(1, len(lam) + 1), yflags=lam)
 
 
-def q_grassmannian_double(w: Perm, n: int | None = None, tie: str = "max") -> Poly:
+def q_grassmannian_double(w: Perm, n: int | None = None) -> Poly:
     """det(e~_{lam'_i - i + j}(X_{r-1+j} - Y_{thetainv_i})) for Grassmannian w."""
     w = perms.check_perm(w)
     if not perms.is_grassmannian(w):
@@ -380,16 +307,10 @@ def q_grassmannian_double(w: Perm, n: int | None = None, tie: str = "max") -> Po
     elif len(w) > n:
         raise RankMismatch(f"{w} does not fit in rank {n}")
     r = perms.grassmannian_descent(w)
-    lam = perms.shape(w)
-    thetainv = perms.flag_theta(perms.inverse(w), tie=tie)
-    m = n - r
-    lamc = perms.conjugate(lam) + (0,) * m
-    rowflags = [thetainv[i] if i < len(thetainv) else 0 for i in range(m)]
-    return determinant(
-        [
-            [q_xy_elementary(lamc[i] - i + j, r + j, rowflags[i]) for j in range(m)]
-            for i in range(m)
-        ]
+    lamc = perms.conjugate(perms.shape(w))
+    rowflags = perms.flag_theta(perms.inverse(w)) + (0,) * (n - r)
+    return jacobi_trudi(
+        lambda d, i, j: q_xy_elementary(d, r + j, rowflags[i]), lamc, size=n - r
     )
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import classical, perms, quantum
-from .poly import A, Poly, Q, X, Y, determinant, parse, q, x, y
+from .poly import A, Poly, Q, X, Y, determinant, jacobi_trudi, parse, q, x, y
 
 __all__ = [
     "Report",
@@ -239,13 +239,7 @@ def suite_schur(n: int) -> Report:
             for lam in perms.partitions_in_box(np_, 4):
                 if not lam:
                     continue
-                lamp = lam + (0,) * np_
-                det = determinant(
-                    [
-                        [quantum.q_complete(lamp[i] - i + j, np_ - j) for j in range(np_)]
-                        for i in range(np_)
-                    ]
-                )
+                det = jacobi_trudi(lambda d, i, j: quantum.q_complete(d, np_ - j), lam, size=np_)
                 rep.check(
                     f"h-determinant lam={lam} n={np_}",
                     det,
@@ -277,28 +271,13 @@ def _dual_determinants(lam) -> tuple[Poly, Poly]:
     lam = perms.check_partition(lam)
     r = len(lam)
     lamc = perms.conjugate(lam)
-    m = lam[0]
-    L = []
-    for i in range(1, m + 1):
-        lci = lamc[i - 1] if i <= len(lamc) else 0
-        L.append(
-            [
-                quantum.q_xy_elementary(lci - i + j, r - 1 + j, r - lci + i)
-                for j in range(1, m + 1)
-            ]
-        )
-    def gamma(j: int) -> int:
-        lj = lam[j - 1]
-        return r + lj - lamc[lj - 1]
-    R = []
-    for i in range(1, r + 1):
-        R.append(
-            [
-                quantum.q_xy_complete(lam[i - 1] - i + j, r - j + 1, gamma(i))
-                for j in range(1, r + 1)
-            ]
-        )
-    return determinant(L), determinant(R)
+    lhs = jacobi_trudi(
+        lambda d, i, j: quantum.q_xy_elementary(d, r + j, r + 1 + i - lamc[i]), lamc
+    )
+    rhs = jacobi_trudi(
+        lambda d, i, j: quantum.q_xy_complete(d, r - j, r + lam[i] - lamc[lam[i] - 1]), lam
+    )
+    return lhs, rhs
 
 
 # -- vexillary / flagged ----------------------------------------------------------
@@ -319,7 +298,7 @@ def suite_vexillary(n: int) -> Report:
                     theta = perms.flag_theta(w)
                     rep.check(
                         f"rv-flagged w={perms.as_text(w)}",
-                        quantum.q_flagged(lam, kind="row", xflags=theta),
+                        quantum.q_flagged(lam, xflags=theta),
                         quantum.q_schubert(w),
                     )
                     rep.check(
@@ -342,20 +321,20 @@ def _counterexample_cases(n: int):
     """The worked non-identities: what the flagged determinant misses for the
     first vexillary permutations outside the restricted class."""
     if n >= 4:
-        det = quantum.q_flagged((2, 1, 1), kind="row", xflags=(2, 2, 3))
+        det = quantum.q_flagged((2, 1, 1), xflags=(2, 2, 3))
         yield (
             "counterexample 2431",
             quantum.q_schubert((2, 4, 3, 1)),
             det - q(2) * q(3),
         )
-        det = quantum.q_flagged((2, 1), kind="row", xflags=(2, 2))
+        det = quantum.q_flagged((2, 1), xflags=(2, 2))
         yield (
             "counterexample 2413",
             quantum.q_schubert((2, 4, 1, 3)),
             det - q(2) * (x(1) + x(2) + x(3)),
         )
     if n >= 5:
-        det = quantum.q_flagged((3, 2, 1), kind="row", xflags=(1, 3, 3))
+        det = quantum.q_flagged((3, 2, 1), xflags=(1, 3, 3))
         rhs = (
             quantum.q_schubert((4, 2, 5, 1, 3))
             + q(3) * quantum.q_schubert((4, 1, 2, 3, 5)) * quantum.q_schubert((1, 2, 3, 5, 4))
@@ -413,13 +392,12 @@ def suite_grassmannian(n: int) -> Report:
             for s in range(1, np_):
                 r = np_ - s
                 v = tuple(range(s + 1, np_ + 1)) + tuple(range(1, s + 1))
-                M = [
-                    [quantum.q_xy_elementary(r - i + j, r - 1 + j, i) for j in range(1, s + 1)]
-                    for i in range(1, s + 1)
-                ]
+                rect = jacobi_trudi(
+                    lambda d, i, j: quantum.q_xy_elementary(d, r + j, i + 1), (r,) * s
+                )
                 rep.check(
                     f"rectangle-determinant n={np_} s={s}",
-                    determinant(M),
+                    rect,
                     quantum.q_double_schubert(v, np_),
                 )
         # the worked rank-4 double as a frozen value
@@ -502,15 +480,7 @@ def _skew_flagged_double(w: perms.Perm, reading: str) -> Poly:
     else:
         rls = [outer[j] - innp[j] for j in range(k)]
     yf = [phin[rl - 1] if 1 <= rl <= len(phin) else 0 for rl in rls]
-    M = []
-    for i in range(1, k + 1):
-        M.append(
-            [
-                quantum.q_xy_complete(outer[i - 1] - innp[j - 1] - i + j, ph[i - 1], yf[j - 1])
-                for j in range(1, k + 1)
-            ]
-        )
-    return determinant(M)
+    return jacobi_trudi(lambda d, i, j: quantum.q_xy_complete(d, ph[i], yf[j]), outer, inner)
 
 
 def suite_conjectures(n: int) -> Report:
@@ -527,7 +497,7 @@ def suite_conjectures(n: int) -> Report:
                     outer, inner, ph = perms.skew_data(w)
                     rep.check(
                         f"skew-single w={perms.as_text(w)}",
-                        quantum.q_flagged(outer, inner, kind="row", xflags=ph),
+                        quantum.q_flagged(outer, inner, xflags=ph),
                         quantum.q_schubert(w),
                     )
                     dd = quantum.q_double_schubert(w, m)
@@ -541,9 +511,7 @@ def suite_conjectures(n: int) -> Report:
                     c = perms.code(w)
                     mx = max(j + 1 for j, cj in enumerate(c) if cj)
                     kill = {(Q, i): 0 for i in range(mx, m + 1)}
-                    det = quantum.q_flagged(
-                        perms.shape(w), kind="row", xflags=perms.flag_theta(w)
-                    )
+                    det = quantum.q_flagged(perms.shape(w), xflags=perms.flag_theta(w))
                     rep.check(
                         f"flag-truncation w={perms.as_text(w)} q>={mx}",
                         det.subs(kill),

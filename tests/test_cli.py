@@ -154,6 +154,28 @@ def test_rank_guard(capsys):
     )
     assert code == 0
     assert out.startswith("x1^6 - 5*q1*x1^4")
+    # enumerate's rank passes the same guard
+    count_rv = ("enumerate", "--class", "rv", "--count", "--n")
+    code, out, err = run(capsys, "--max-n", "3", *count_rv, "7")
+    assert (code, out) == (2, "")
+    assert "--max-n 3" in err
+    # past the guard, the library's enumeration cap still bounds enumerate
+    code, _, err = run(capsys, "--max-n", "8", *count_rv, "8")
+    assert code == 2
+    assert f"enumeration cap {perms.ENUMERATION_CAP}" in err
+    # a negative rank is refused, not read as an empty sweep
+    for argv in (
+        ("verify", "--suite", "schur", "--n", "-1"),
+        count_rv + ("-1",),
+        ("compute", "qschubert", "--w", "21", "--n", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "rank -1 is negative" in err
+    # the above-default warning prints once per command, however many ranks
+    code, _, err = run(capsys, "--max-n", "7", "compute", "stable", "--w", "321", "--m", "1")
+    assert code == 0
+    assert err.count("warning") == 1
 
 
 def test_parse_error_exit(capsys):
@@ -162,6 +184,10 @@ def test_parse_error_exit(capsys):
     assert "error" in err
     code, _, err = run(capsys, "compute", "qschubert", "--w", "1325")
     assert code == 2
+    # a negative exponent is out of the staircase, not a zero row
+    code, out, err = run(capsys, "compute", "qmonomial", "--alpha", "1,-1", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "negative exponent" in err
     # past the packed encoding's bounds: a typed error, never a wrapped value
     code, _, err = run(capsys, "compute", "quantize", "--poly", "x1^200", "--n", "3")
     assert code == 2

@@ -23,6 +23,7 @@ from qschub.poly import (
     ZERO,
     a,
     determinant,
+    jacobi_trudi,
     monomial,
     parse,
     q,
@@ -210,6 +211,25 @@ def test_determinant():
         determinant([[x(1), x(2)]])
 
 
+def test_jacobi_trudi_matches_written_matrix():
+    # entry depends on the index k, the row i and the column j
+    def entry(k, i, j):
+        return Poly.const(k) + x(i + 1) * y(j + 1)
+
+    # lam = (3, 1) padded to size 3, mu = (1,) padded to (1, 0, 0)
+    written = [
+        [entry(2, 0, 0), entry(4, 0, 1), entry(5, 0, 2)],
+        [entry(-1, 1, 0), entry(1, 1, 1), entry(2, 1, 2)],
+        [entry(-3, 2, 0), entry(-1, 2, 1), entry(0, 2, 2)],
+    ]
+    assert jacobi_trudi(entry, (3, 1), (1,), size=3) == determinant(written)
+    # the default size is len(lam), and mu defaults to empty
+    assert jacobi_trudi(entry, (2, 2)) == determinant(
+        [[entry(2, 0, 0), entry(3, 0, 1)], [entry(1, 1, 0), entry(2, 1, 1)]]
+    )
+    assert jacobi_trudi(entry, ()) == ONE
+
+
 def _cofactor(m) -> Poly:
     """Plain cofactor expansion along the first row."""
     if not m:
@@ -309,20 +329,6 @@ def test_max_index_and_degree_in():
     assert x(MAX_INDEX).max_index(X) == MAX_INDEX
     assert a(MAX_INDEX).max_index(A) == MAX_INDEX
     assert (x(1) ** 127).degree_in(X, 1) == 127
-
-
-def test_split_family():
-    p = parse("3*y1^2*x1 + y1^2*q2 - 2*y1*y3*x2 + x1*q1 + 5")
-    pairs = p.split_family(Y)
-    assert sum((m * c for m, c in pairs), Poly()) == p
-    for m, c in pairs:
-        assert len(m) == 1 and m.constant_term() in (0, 1)
-        assert all(fam == Y for fam, _ in m.variables())
-        assert all(fam != Y for fam, _ in c.variables())
-    assert len({m.text() for m, _ in pairs}) == len(pairs) == 3
-    assert dict((m.text(), c) for m, c in pairs)["y1^2"] == parse("3*x1 + q2")
-    assert x(1).split_family(Y) == [(ONE, x(1))]
-    assert ZERO.split_family(Y) == []
 
 
 def test_divided_difference_and_division():

@@ -9,6 +9,7 @@ import pytest
 
 from qschub import classical, perms, quantum
 from qschub.errors import (
+    BadFlag,
     CompositionOutOfBox,
     ForeignVariables,
     RankMismatch,
@@ -77,6 +78,14 @@ def test_top_cell_product():
         for i in range(1, n):
             prod = prod * quantum.q_elementary(i, i)
         assert quantum.q_schubert(perms.longest(n)) == prod
+
+
+def test_top_cell_slices_make_up_the_product():
+    # the grouped y-slices, summed over every degree, rebuild prod Delta_i
+    for n in range(1, 6):
+        pairs = [p for want in range(n * (n - 1) // 2 + 1) for p in quantum._w0_y_slice(n, want)]
+        assert Poly.sum(m * c for m, c in pairs) == quantum.q_w0_double(n)
+        assert len({m.text() for m, _ in pairs}) == len(pairs)
 
 
 def test_rank_embedding_consistency():
@@ -238,12 +247,28 @@ def test_rank6_matches_whole_slice_chain():
 
 def test_flagged_determinants():
     # a row-flagged determinant with full flags equals the quantum Schur
-    assert quantum.q_flagged((2, 1), kind="row", xflags=(3, 3)) == parse(
+    assert quantum.q_flagged((2, 1), xflags=(3, 3)) == parse(
         "x1^2*x2 + x1*x2^2 + x1^2*x3 + x1*x3^2 + x2^2*x3 + x2*x3^2 + 2*x1*x2*x3"
         " + q1*(x1 + x2) + q2*(x2 + x3) + q3*(x3 + x4)"
     )
     # skew shapes divide out correctly: outer == inner gives 1
-    assert quantum.q_flagged((1,), (1,), kind="row", xflags=(2,)) == ONE
+    assert quantum.q_flagged((1,), (1,), xflags=(2,)) == ONE
+
+
+def test_flagged_y_flags():
+    lam, xflags = (3, 1, 1), (2, 3, 4)
+    # Y_0 is the empty alphabet, so zero y flags change nothing
+    assert quantum.q_flagged(lam, xflags=xflags, yflags=(0, 0, 0)) == quantum.q_flagged(
+        lam, xflags=xflags
+    )
+    # one y flag per row: the dominant double determinant, row by row
+    w = (3, 2, 1)
+    lam = perms.shape(w)
+    assert quantum.q_flagged(lam, xflags=(1, 2), yflags=lam) == quantum.q_double_schubert(w)
+    with pytest.raises(ShapeOutOfBox):
+        quantum.q_flagged(lam, xflags=(1, 2), yflags=(1,))
+    with pytest.raises(BadFlag):
+        quantum.q_flagged(lam, xflags=(1, 2), yflags=(1, -1))
 
 
 def test_xy_factors_degenerate():
