@@ -41,22 +41,38 @@ def double_staircase(n: int) -> Poly:
 
 
 @cache
-def _single_table(n: int) -> dict:
-    """S_w for every w in S_n, by peeling right descents from w_0."""
-    w0 = perms.longest(n)
-    table = {w0: staircase(n)}
-    layer = [w0]
-    while layer:
-        nxt = []
-        for w in layer:
-            f = table[w]
-            for i in perms.descents(w):
-                v = perms.times_s(w, i)
-                if v not in table:
-                    table[v] = f.divided_diff(i, X)
-                    nxt.append(v)
-        layer = nxt
-    return table
+def _single_layer(n: int, length: int) -> dict:
+    """S_w for every w in S_n of the given length, by peeling right descents
+    from the layer above; the top layer is w_0 alone."""
+    if length == n * (n - 1) // 2:
+        return {perms.longest(n): staircase(n)}
+    layer = {}
+    for w, f in _single_layer(n, length + 1).items():
+        for i in perms.descents(w):
+            v = perms.times_s(w, i)
+            if v not in layer:
+                layer[v] = f.divided_diff(i, X)
+    return layer
+
+
+@cache
+def _monomial_expansions(n: int, length: int) -> dict:
+    """Every monomial under the rank-n staircase of degree `length` in the
+    Schubert basis, keyed by the same monomial in y: {y^a: {w: c}} with
+    x^a = sum c S_w over the w in S_n of that length.
+
+    The leader of S_w (Poly.leading_term) is x^code(w) with coefficient 1
+    (Macdonald, Notes on Schubert Polynomials, 1991), and the codes of S_n
+    are exactly the exponents under the staircase, so each expansion is one
+    triangular reduction with no divided differences.
+    """
+    layer = _single_layer(n, length)
+    lead = {f.leading_term()[0]: (w, f) for w, f in layer.items()}
+    out = {}
+    for u in layer:
+        xa = monomial([(X, i, e) for i, e in enumerate(perms.code(u), 1)])
+        out[xa.rename_family(X, Y).leading_term()[0]] = xa.triangular_expand(lead)
+    return out
 
 
 @cache
@@ -86,7 +102,7 @@ def schubert(w: Perm) -> Poly:
     """The (classical, single) Schubert polynomial of w."""
     w = perms.check_perm(w)
     w = perms.trim(w)
-    return _single_table(len(w))[w]
+    return _single_layer(len(w), perms.length(w))[w]
 
 
 def double_schubert(w: Perm) -> Poly:

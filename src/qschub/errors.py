@@ -41,6 +41,10 @@ class NotRestrictedVexillary(QschubError):
     """The permutation contains one of the patterns 2143, 2413, 2431."""
 
 
+class NotDominant(QschubError):
+    """The permutation's code is not weakly decreasing (it contains 132)."""
+
+
 class NotGrassmannian(QschubError):
     """The permutation has more than one descent."""
 

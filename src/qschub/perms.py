@@ -15,6 +15,7 @@ from .errors import (
     InvalidCode,
     Not321Avoiding,
     NotGrassmannian,
+    QschubError,
     RankMismatch,
     RankTooLarge,
     ShapeOutOfBox,
@@ -210,6 +211,8 @@ def enumerate_class(n: int, cls: str) -> list[Perm]:
     """All members of a class in S_n, lexicographic order."""
     if cls not in CLASS_TESTS:
         raise ValueError(f"unknown class {cls!r}; choose from {sorted(CLASS_TESTS)}")
+    if n < 0:
+        raise QschubError(f"rank {n} is negative")
     if n > ENUMERATION_CAP:
         raise RankTooLarge(f"rank {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     test = CLASS_TESTS[cls]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from qschub import classical, perms
-from qschub.poly import ONE, Poly, X, Y, ZERO, parse, x, y
+from qschub.poly import ONE, Poly, X, Y, ZERO, monomial, parse, x, y
 
 
 S3_TABLE = {
@@ -118,6 +120,39 @@ def test_schubert_expand():
     assert classical.schubert_expand(x(2)) == {(2, 1): -1, (1, 3, 2): 1}
     # x1^12 = S_w for the dominant w of code (12): rank 13
     assert classical.schubert_expand(x(1) ** 12) == {(13,) + tuple(range(1, 13)): 1}
+
+
+def _code_monomial(w, family=X):
+    return monomial([(family, i, e) for i, e in enumerate(perms.code(w), 1)])
+
+
+def test_schubert_leaders_are_the_codes():
+    # S_w leads with x^code(w), coefficient 1: n! distinct leaders in S_n
+    for n in range(1, 7):
+        leaders = set()
+        for w in perms.permutations(n):
+            m, c = classical.schubert(w).leading_term()
+            assert (m, c) == (_code_monomial(w).leading_term()[0], 1), w
+            leaders.add(m)
+        assert len(leaders) == math.factorial(n)
+
+
+def test_monomial_expansions_match_the_walk():
+    # the triangular table and the weak-order walk of schubert_expand agree on
+    # every monomial under the staircase of S_<=5, and the sums rebuild it
+    for n in range(1, 6):
+        for length in range(n * (n - 1) // 2 + 1):
+            table = classical._monomial_expansions(n, length)
+            layer = [u for u in perms.permutations(n) if perms.length(u) == length]
+            assert len(table) == len(layer)
+            for u in layer:
+                got = table[_code_monomial(u, Y).leading_term()[0]]
+                xa = _code_monomial(u)
+                assert all(perms.length(w) == length for w in got)
+                assert {perms.trim(w): c for w, c in got.items()} == classical.schubert_expand(xa)
+                assert Poly.sum(c * classical.schubert(w) for w, c in got.items()) == xa
+    key = y(2).leading_term()[0]
+    assert classical._monomial_expansions(3, 1)[key] == {(1, 3, 2): 1, (2, 1, 3): -1}
 
 
 def test_implied_rank():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub import perms
-from qschub.errors import Not321Avoiding, NotGrassmannian
+from qschub.errors import Not321Avoiding, NotGrassmannian, QschubError
 
 
 def _catalan(n: int) -> int:
@@ -89,6 +89,9 @@ def test_class_counts():
     assert [perms.as_text(w) for w in perms.enumerate_class(2, "dominant")] == ["12", "21"]
     with pytest.raises(Exception):
         perms.enumerate_class(4, "nosuch")
+    # refused with the CLI's message, not answered as rank 0
+    with pytest.raises(QschubError, match="rank -1 is negative"):
+        perms.enumerate_class(-1, "rv")
 
 
 def test_classify_consistency():

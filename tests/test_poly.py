@@ -331,6 +331,31 @@ def test_max_index_and_degree_in():
     assert (x(1) ** 127).degree_in(X, 1) == 127
 
 
+def test_leading_term():
+    # the highest index decides, whatever the lower exponents
+    assert parse("x1^5 + 3*x2").leading_term() == (x(2).leading_term()[0], 3)
+    assert parse("x1^2*x2 + x1*x2^2").leading_term()[0] == (x(1) * x(2) ** 2).leading_term()[0]
+    assert ZERO.leading_term() == (0, 0)
+    assert ONE.leading_term() == (0, 1)
+
+
+def test_triangular_expand():
+    # the family x1, x1 + x2 leads with x1 and x2
+    lead = {b.leading_term()[0]: (name, b) for name, b in (("b1", x(1)), ("b2", x(1) + x(2)))}
+    assert (3 * x(2) - x(1)).triangular_expand(lead) == {"b2": 3, "b1": -4}
+    assert ZERO.triangular_expand(lead) == {}
+    with pytest.raises(AssertionError, match="no element"):
+        (x(3) + x(1)).triangular_expand(lead)
+    with pytest.raises(AssertionError, match="coefficient other than 1"):
+        x(1).triangular_expand({x(1).leading_term()[0]: ("b", 2 * x(1))})
+
+
+def test_combination():
+    assert Poly.combination([(2, x(1)), (-1, x(1) + y(1)), (3, ONE)]) == parse("x1 - y1 + 3")
+    assert Poly.combination([(1, x(1)), (-1, x(1))]) == ZERO
+    assert Poly.combination([]) == ZERO
+
+
 def test_divided_difference_and_division():
     f = x(1) ** 2 * x(2)
     assert f.divided_diff(1) == x(1) * x(2)

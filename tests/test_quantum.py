@@ -12,6 +12,7 @@ from qschub.errors import (
     BadFlag,
     CompositionOutOfBox,
     ForeignVariables,
+    NotDominant,
     RankMismatch,
     RankTooLarge,
     ShapeOutOfBox,
@@ -105,9 +106,11 @@ def test_classical_degeneration_s4():
 
 
 def test_double_specializes_to_single():
-    ykill = {(Y, i): 0 for i in range(1, 5)}
-    for w in perms.permutations(4):
-        assert quantum.q_double_schubert(w, 4).subs(ykill) == quantum.q_schubert(w)
+    # two routes: the doubles run y chains, the singles read the expansion table
+    for n in range(1, 6):
+        ykill = {(Y, i): 0 for i in range(1, n + 1)}
+        for w in perms.permutations(n):
+            assert quantum.q_double_schubert(w, n).subs(ykill) == quantum.q_schubert(w), w
 
 
 def test_q_schur_box_guard():
@@ -212,15 +215,20 @@ def test_elementary_override_hook():
     # memoized before the hook goes in: installing it must invalidate them
     assert quantum.q_elementary(2, 2) == parse("x1*x2 + q1")
     assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
+    xy_e, xy_h = quantum.q_xy_elementary(2, 2, 1), quantum.q_xy_complete(2, 2, 1)
     quantum.set_elementary_override(hook)
     try:
         assert quantum.q_elementary(2, 2) == corrupted
         # the corruption propagates into everything built from the factors
         assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 - q1")
+        assert quantum.q_xy_elementary(2, 2, 1) == xy_e - 2 * q(1)
+        assert quantum.q_xy_complete(2, 2, 1) == xy_h + 2 * q(1)
     finally:
         quantum.set_elementary_override(None)
     assert quantum.q_elementary(2, 2) == parse("x1*x2 + q1")
     assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
+    assert quantum.q_xy_elementary(2, 2, 1) == xy_e
+    assert quantum.q_xy_complete(2, 2, 1) == xy_h
 
 
 def test_rank6_matches_whole_slice_chain():
@@ -269,6 +277,15 @@ def test_flagged_y_flags():
         quantum.q_flagged(lam, xflags=(1, 2), yflags=(1,))
     with pytest.raises(BadFlag):
         quantum.q_flagged(lam, xflags=(1, 2), yflags=(1, -1))
+
+
+def test_dominant_double_refuses_other_permutations():
+    for w in perms.permutations(4):
+        if perms.is_dominant(w):
+            assert quantum.q_dominant_double(w) == quantum.q_double_schubert(w)
+    # 132 is not dominant: the determinant would give x1 + y1, not S~_132
+    with pytest.raises(NotDominant):
+        quantum.q_dominant_double((1, 3, 2))
 
 
 def test_xy_factors_degenerate():
