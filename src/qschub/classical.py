@@ -13,8 +13,9 @@ from __future__ import annotations
 from functools import cache
 
 from . import perms
+from ._kernels import padd, pdivdiff
 from .errors import ForeignVariables
-from .poly import Poly, Q, X, Y, jacobi_trudi, monomial, x, y
+from .poly import Poly, Q, X, Y, jacobi_trudi, monomial, vcode, x, y
 
 Perm = perms.Perm
 
@@ -158,37 +159,52 @@ def implied_rank(f: Poly) -> int:
 def schubert_expand(f: Poly) -> dict:
     """Coefficients c_w of f = sum c_w S_w (finite; exact integers).
 
-    Only x variables are allowed.  c_w is the constant term of d_w f; the
-    walk shares prefixes across the weak order and prunes zero images.
-
-    The walk runs in S_N for N = implied_rank(f).  Every exponent vector a
-    of f has a_i <= N - i, and those monomials span the same space as the
-    S_w with w in S_N, so d_w f = 0 for every w outside S_N; each d_i keeps
-    that span.  A node w is keyed by w^-1, the positions of its values: the
-    step to s_i w goes up exactly when value i sits left of value i+1, and
-    it swaps those two entries of w^-1, one lookup and one swap per step.
+    Only x variables are allowed.  The expansion is linear, so it is the sum
+    of c times the expansion of x^m over the terms c x^m of f.  Each monomial
+    is expanded once per process (_expand_monomial) and summed into a fresh
+    dict, so the caller owns what it gets and the memo is never handed out.
     """
     bad = [(fam, idx) for fam, idx in f.variables() if fam != X]
     if bad:
         raise ForeignVariables(f"Schubert expansion needs x variables only, found {bad}")
-    if not f:
-        return {}
+    out: dict = {}
+    for m, c in f.terms.items():
+        padd(out, _expand_monomial(m), c)
+    return out
+
+
+@cache
+def _expand_monomial(m: int) -> dict:
+    """{w: c} with x^m = sum c S_w, for the packed x-monomial m; shared, so
+    never mutate or return it.
+
+    c_w is the constant term of d_w x^m; the walk shares prefixes across the
+    weak order and prunes zero images.  It runs in S_N for N the monomial's
+    implied_rank: its exponent vector a has a_i <= N - i, those monomials
+    span the same space as the S_w with w in S_N, so d_w x^m = 0 for every w
+    outside S_N, and each d_i keeps that span.  A node w is keyed by w^-1,
+    the positions of its values: the step to s_i w goes up exactly when value
+    i sits left of value i+1, and it swaps those two entries of w^-1, one
+    lookup and one swap per step.  Nodes are kernel dicts, with the variable
+    codes of x_1..x_N looked up once.
+    """
+    n = max(implied_rank(Poly({m: 1})), 1)
+    codes = [vcode(X, i) for i in range(1, n + 1)]
     out = {}
-    layer = {perms.identity(max(implied_rank(f), 1)): f}
+    layer = {perms.identity(n): {m: 1}}
     while layer:
         nxt: dict = {}
         for pos, g in layer.items():
-            c = g.constant_term()
+            c = g.get(0)
             if c:
                 out[perms.trim(perms.inverse(pos))] = c
-            # g stays in the span of S_N, so its variables stop short of x_N
-            for i in range(1, g.max_index(X) + 1):
+            for i in range(1, n):
                 if pos[i - 1] > pos[i]:  # value i right of i+1: s_i w is shorter
                     continue
-                v = perms.times_s(pos, i)
+                v = pos[: i - 1] + (pos[i], pos[i - 1]) + pos[i + 1 :]
                 if v in nxt:
                     continue
-                h = g.divided_diff(i, X)
+                h = pdivdiff(g, codes[i - 1], codes[i])
                 if h:
                     nxt[v] = h
         layer = nxt

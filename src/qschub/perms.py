@@ -52,12 +52,20 @@ def from_text(s: str) -> Perm:
     return check_perm([int(ch) for ch in s])
 
 
+def _check_rank(n: int) -> int:
+    """QschubError for a negative rank; n otherwise."""
+    if n < 0:
+        raise QschubError(f"rank {n} is negative")
+    return n
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
 def longest(n: int) -> Perm:
     """The longest element w_0 = (n, n-1, ..., 1)."""
+    _check_rank(n)
     return tuple(range(n, 0, -1))
 
 
@@ -151,7 +159,7 @@ def cross_embed(u: Perm, v: Perm) -> Perm:
 
 def permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order."""
-    return itertools.permutations(range(1, n + 1))
+    return itertools.permutations(range(1, _check_rank(n) + 1))
 
 
 # -- pattern avoidance and classes -------------------------------------------
@@ -211,9 +219,7 @@ def enumerate_class(n: int, cls: str) -> list[Perm]:
     """All members of a class in S_n, lexicographic order."""
     if cls not in CLASS_TESTS:
         raise ValueError(f"unknown class {cls!r}; choose from {sorted(CLASS_TESTS)}")
-    if n < 0:
-        raise QschubError(f"rank {n} is negative")
-    if n > ENUMERATION_CAP:
+    if _check_rank(n) > ENUMERATION_CAP:
         raise RankTooLarge(f"rank {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     test = CLASS_TESTS[cls]
     return [w for w in permutations(n) if test(w)]

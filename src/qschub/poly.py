@@ -9,13 +9,16 @@ each q counts 2, so the quantum elementary polynomials stay homogeneous.
 Internally a polynomial is a dict from monomials to nonzero ints, with the
 dict work delegated to the kernel (see _kernels).  A Poly owns its dict and
 never changes it: ``terms`` is a read-only view, and every sum is built by
-accumulating into a fresh dict (Poly.sum).  A monomial is one int,
-a packed exponent vector with one byte per variable; this module is the only
-one that knows which variable sits in which byte: family f, index i has code
-4*(i-1) + f, so byte k of a monomial's little-endian bytes is the exponent of
-family k % 4, index k // 4 + 1, and the constant monomial is 0.  Exponents
-are capped at 127 (ExponentOverflow) and indices at MAX_INDEX
-(VariableOutOfRange).
+accumulating into a fresh dict (Poly.sum).  Because a Poly never changes,
+its text() with the default letters is rendered once and kept on it (a
+render with other letters is built afresh each time).
+
+A monomial is one int, a packed exponent vector with one byte per variable;
+this module is the only one that knows which variable sits in which byte:
+family f, index i has code 4*(i-1) + f, so byte k of a monomial's
+little-endian bytes is the exponent of family k % 4, index k // 4 + 1, and
+the constant monomial is 0.  Exponents are capped at 127 (ExponentOverflow)
+and indices at MAX_INDEX (VariableOutOfRange).
 """
 
 from __future__ import annotations
@@ -59,11 +62,6 @@ def _bytes(m: int, n: int | None = None) -> bytes:
     return m.to_bytes((m.bit_length() + 7) >> 3 if n is None else n, "little")
 
 
-def _wdeg(m: int) -> int:
-    b = _bytes(m)
-    return sum(b) + sum(b[Q::_NFAM])  # q counts twice
-
-
 def _codes(m: int) -> list[int]:
     """The codes of the variables occurring in monomial m."""
     return [k for k, e in enumerate(_bytes(m)) if e]
@@ -82,12 +80,18 @@ def _terms_of(v: Union["Poly", int]) -> dict:
 
 
 class Poly:
-    """A read-only polynomial: it owns a kernel dict that nothing writes into."""
+    """A read-only polynomial: it owns a kernel dict that nothing writes into.
 
-    __slots__ = ("_terms",)
+    Nothing changes that dict after construction, which is what makes the
+    memo of the default text() safe: a Poly renders once with the default
+    letters and keeps the string in _text.
+    """
+
+    __slots__ = ("_terms", "_text")
 
     def __init__(self, terms: dict | None = None):
         self._terms = terms or {}
+        self._text: str | None = None
 
     @property
     def terms(self) -> Mapping[int, int]:
@@ -170,9 +174,6 @@ class Poly:
 
     # -- inspection --------------------------------------------------------
 
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def variables(self) -> list[tuple[int, int]]:
         """Sorted list of (family, index) pairs occurring in the polynomial."""
         return sorted(vsplit(k) for k in _codes(reduce(or_, self._terms, 0)))
@@ -229,10 +230,6 @@ class Poly:
         """The largest exponent of one variable (0 if it does not occur)."""
         shift = WIDTH * vcode(family, index)
         return max(((m >> shift) & FIELD for m in self._terms), default=0)
-
-    def degree(self) -> int:
-        """Largest weighted total degree (0 for the zero polynomial)."""
-        return max((_wdeg(m) for m in self._terms), default=0)
 
     # -- substitution and specialization ------------------------------------
 
@@ -347,8 +344,15 @@ class Poly:
         ]
 
     def text(self, letters: Mapping[int, str] | None = None) -> str:
-        """Canonical textual form, e.g. ``3*x1^2*x2 - q1*x1 + 7``."""
-        return _join(self.factored_terms(), _names(letters))
+        """Canonical textual form, e.g. ``3*x1^2*x2 - q1*x1 + 7``.
+
+        The default render is memoized on the Poly; one with letters is not.
+        """
+        if letters is not None:
+            return _join(self.factored_terms(), _names(letters))
+        if self._text is None:
+            self._text = _join(self.factored_terms(), _names(None))
+        return self._text
 
     def __str__(self) -> str:
         return self.text()

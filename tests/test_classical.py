@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschub import classical, perms
 from qschub.poly import ONE, Poly, X, Y, ZERO, monomial, parse, x, y
@@ -122,6 +124,20 @@ def test_schubert_expand():
     assert classical.schubert_expand(x(1) ** 12) == {(13,) + tuple(range(1, 13)): 1}
 
 
+def test_schubert_expand_hands_out_no_memo():
+    # each monomial's expansion is memoized; a caller that mutates its answer
+    # must not change the next caller's
+    f = parse("x1^2*x2 + 3*x3")
+    want = dict(classical.schubert_expand(f))
+    got = classical.schubert_expand(f)
+    got.clear()
+    got[(2, 1)] = 99
+    assert classical.schubert_expand(f) == want
+    one = classical.schubert_expand(x(2))
+    one[(2, 1)] += 5
+    assert classical.schubert_expand(x(2)) == {(2, 1): -1, (1, 3, 2): 1}
+
+
 def _code_monomial(w, family=X):
     return monomial([(family, i, e) for i, e in enumerate(perms.code(w), 1)])
 
@@ -153,6 +169,34 @@ def test_monomial_expansions_match_the_walk():
                 assert Poly.sum(c * classical.schubert(w) for w, c in got.items()) == xa
     key = y(2).leading_term()[0]
     assert classical._monomial_expansions(3, 1)[key] == {(1, 3, 2): 1, (2, 1, 3): -1}
+
+
+# the exponent vectors under the rank-5 staircase are the codes of S_5
+_S5_CODES = sorted(perms.code(w) for w in perms.permutations(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_S5_CODES),
+        st.integers(-9, 9).filter(bool),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_schubert_expand_of_a_combination(terms):
+    # linearity over the memoized monomials: the expansion of a multi-term f
+    # under the staircase rebuilds f and is the sum of its terms' table rows
+    f = Poly.sum(monomial([(X, i, e) for i, e in enumerate(a, 1)], c) for a, c in terms.items())
+    got = classical.schubert_expand(f)
+    assert Poly.sum(c * classical.schubert(w) for w, c in got.items()) == f
+    want: dict = {}
+    for a, c in terms.items():
+        key = monomial([(Y, i, e) for i, e in enumerate(a, 1)]).leading_term()[0]
+        for w, k in classical._monomial_expansions(5, sum(a))[key].items():
+            w = perms.trim(w)
+            want[w] = want.get(w, 0) + c * k
+    assert got == {w: c for w, c in want.items() if c}
 
 
 def test_implied_rank():

@@ -74,6 +74,17 @@ def test_alphabet_rendering(capsys):
     assert parse(out.strip()) == quantum.q_double_schubert((2, 1), 2).rename_family(Y, 3)
 
 
+def test_alphabet_after_a_default_render(capsys):
+    # the memoized S~_w keeps its default text; --alphabet output in the same
+    # process is not read from it
+    _, plain, _ = run(capsys, "compute", "qdouble", "--w", "231", "--n", "3")
+    _, lettered, _ = run(capsys, "--alphabet", "a", "compute", "qdouble", "--w", "231", "--n", "3")
+    _, again, _ = run(capsys, "compute", "qdouble", "--w", "231", "--n", "3")
+    p = quantum.q_double_schubert((2, 3, 1), 3)
+    assert plain == again and plain.strip() == p.text()
+    assert "y" not in lettered and parse(lettered.strip()) == p.rename_family(Y, 3)
+
+
 def test_json_format(capsys):
     code, out, _ = run(
         capsys, "--format", "json", "compute", "quantize", "--poly", "x1^2", "--n", "3"

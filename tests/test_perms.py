@@ -94,6 +94,16 @@ def test_class_counts():
         perms.enumerate_class(-1, "rv")
 
 
+def test_negative_ranks_are_refused():
+    # below enumerate_class too, a negative rank is not answered as rank 0
+    with pytest.raises(QschubError, match="rank -1 is negative"):
+        perms.permutations(-1)
+    with pytest.raises(QschubError, match="rank -2 is negative"):
+        perms.longest(-2)
+    assert list(perms.permutations(0)) == [()]
+    assert perms.longest(0) == ()
+
+
 def test_classify_consistency():
     for w in perms.permutations(5):
         tags = {name for name, test in perms.CLASS_TESTS.items() if test(w)}

@@ -54,8 +54,6 @@ def test_constants_and_identities():
     assert ONE.text() == "1"
     assert (x(1) + ZERO) == x(1)
     assert (x(1) * ONE) == x(1)
-    assert ONE.constant_term() == 1
-    assert (x(1) + 3).constant_term() == 3
 
 
 def test_small_arithmetic():
@@ -76,7 +74,6 @@ def test_codes_roundtrip():
 
 def test_exponent_cap():
     assert (x(1) ** 127).text() == "x1^127"
-    assert (x(1) ** 100 * y(1) ** 27 * x(2) ** 127).degree() == 254
     for big in (lambda: x(1) ** 128, lambda: x(1) ** 64 * (x(1) ** 64 + y(2))):
         with pytest.raises(ExponentOverflow):
             big()
@@ -126,9 +123,6 @@ def test_text_ordering_and_weights():
     assert m.text() == "5*q2*x1*y3*a1"
     # higher total weight prints first
     assert (x(1) + x(1) ** 2).text() == "x1^2 + x1"
-    assert (q(2) * x(1) + y(3)).degree() == 3
-    # so x1^2 - q1 is homogeneous of degree 2, and a dropped q weight shows
-    assert (x(1) ** 2).degree() == q(1).degree() == (x(1) ** 2 - q(1)).degree() == 2
 
 
 def test_text_letters_override():

@@ -17,7 +17,7 @@ from qschub.errors import (
     RankTooLarge,
     ShapeOutOfBox,
 )
-from qschub.poly import ONE, Poly, Q, X, Y, ZERO, parse, q, x, y
+from qschub.poly import ONE, Poly, Q, X, Y, ZERO, _join, _names, parse, q, x, y
 
 
 def _nokill(n):
@@ -292,3 +292,19 @@ def test_xy_factors_degenerate():
     # Y with zero variables is the plain factor
     assert quantum.q_xy_elementary(2, 2, 0) == quantum.q_elementary(2, 2)
     assert quantum.q_xy_complete(2, 2, 0) == quantum.q_complete(2, 2)
+
+
+def test_memoized_polys_render_every_alphabet():
+    # text() keeps its default render on the Poly; a render with other letters
+    # is built afresh, so the order of renders never changes what is printed
+    def fresh(r, letters=None):
+        return _join(r.factored_terms(), _names(letters))
+
+    p = quantum.q_schubert((1, 3, 5, 2, 4))
+    d = quantum.q_double_schubert((2, 3, 1), 3)
+    for r, letters in ((p, {X: "z", Q: "t"}), (d, {Y: "a"})):
+        assert r.text() == fresh(r)
+        assert r.text(letters) == fresh(r, letters) != fresh(r)
+        assert r.text() == fresh(r)
+        assert str(r) == fresh(r)
+    assert quantum.q_schubert((1, 3, 5, 2, 4)).text() == fresh(p)
