@@ -54,6 +54,8 @@ def test_constants_and_identities():
     assert ONE.text() == "1"
     assert (x(1) + ZERO) == x(1)
     assert (x(1) * ONE) == x(1)
+    assert ONE.constant_term() == 1
+    assert (x(1) + 3).constant_term() == 3
 
 
 def test_small_arithmetic():
