@@ -1,11 +1,12 @@
 """Classical Schubert polynomials, divided differences and Schur bases.
 
-Conventions: divided differences act as d_i f = (f - s_i f)/(v_i - v_{i+1});
-for a reduced word w = s_{a_1} ... s_{a_p} the operator d_w applies d_{a_p}
-first.  Single Schubert polynomials come from d-chains on the staircase
-monomial, doubles from chains on prod_{i+j<=n} (x_i + y_j) acting on the y
-alphabet (so d_i^(y) S_w = S_{s_i w}).  Both are stable under adding trailing
-fixed points, and are computed at the minimal rank of w.
+Conventions: divided differences act as d_i f = (f - s_i f)/(v_i - v_{i+1}).
+Single Schubert polynomials are peeled from the staircase monomial by d_i
+in x, one length at a time.  Doubles are the Cauchy sums
+S_w(x, y) = sum S_u(x) S_v(y) over the pairs of perms.weak_factorizations(w)
+(v = u w^-1, l(u) + l(v) = l(w)), which equal the y-divided differences of
+prod_{i+j<=n} (x_i + y_j) with d_i^(y) S_w = S_{s_i w}.  Both are stable
+under adding trailing fixed points, and are computed at the minimal rank of w.
 """
 
 from __future__ import annotations
@@ -15,30 +16,14 @@ from functools import cache
 from . import perms
 from ._kernels import padd, pdivdiff
 from .errors import ForeignVariables
-from .poly import Poly, Q, X, Y, jacobi_trudi, monomial, vcode, x, y
+from .poly import Poly, X, Y, jacobi_trudi, monomial, vcode
 
 Perm = perms.Perm
-
-
-def apply_word(f: Poly, word, family: int = X) -> Poly:
-    """Apply d_{a_1} o ... o d_{a_p} (rightmost letter first)."""
-    for i in reversed(tuple(word)):
-        f = f.divided_diff(i, family)
-    return f
 
 
 def staircase(n: int) -> Poly:
     """x^delta = x1^(n-1) x2^(n-2) ... x_{n-1}."""
     return monomial([(X, i, n - i) for i in range(1, n)])
-
-
-def double_staircase(n: int) -> Poly:
-    """prod_{i+j<=n} (x_i + y_j), the top double Schubert polynomial."""
-    out = Poly.const(1)
-    for i in range(1, n):
-        for j in range(1, n + 1 - i):
-            out = out * (x(i) + y(j))
-    return out
 
 
 @cache
@@ -76,29 +61,6 @@ def _monomial_expansions(n: int, length: int) -> dict:
     return out
 
 
-@cache
-def _double_table(n: int) -> dict:
-    """S_w(x,y) for every w in S_n; left descents peel via y-differences."""
-    w0 = perms.longest(n)
-    table = {w0: double_staircase(n)}
-    layer = [w0]
-    while layer:
-        nxt = []
-        for w in layer:
-            f = table[w]
-            for i in perms.descents(perms.inverse(w)):
-                v = perms.compose(_s(n, i), w)
-                if v not in table:
-                    table[v] = f.divided_diff(i, Y)
-                    nxt.append(v)
-        layer = nxt
-    return table
-
-
-def _s(n: int, i: int) -> Perm:
-    return perms.times_s(perms.identity(n), i)
-
-
 def schubert(w: Perm) -> Poly:
     """The (classical, single) Schubert polynomial of w."""
     w = perms.check_perm(w)
@@ -106,11 +68,20 @@ def schubert(w: Perm) -> Poly:
     return _single_layer(len(w), perms.length(w))[w]
 
 
+@cache
+def schubert_in_y(w: Perm) -> Poly:
+    """S_w(y): the Schubert polynomial of w in the y alphabet."""
+    return schubert(w).rename_family(X, Y)
+
+
 def double_schubert(w: Perm) -> Poly:
     """The double Schubert polynomial S_w(x, y)."""
-    w = perms.check_perm(w)
-    w = perms.trim(w)
-    return _double_table(len(w))[w]
+    return _double_schubert(perms.trim(perms.check_perm(w)))
+
+
+@cache
+def _double_schubert(w: Perm) -> Poly:
+    return Poly.sum(schubert(u) * schubert_in_y(v) for u, v in perms.weak_factorizations(w))
 
 
 # -- symmetric function bases -------------------------------------------------

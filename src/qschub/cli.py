@@ -146,7 +146,8 @@ def _cmd_compute(args) -> int:
             p = quantum.q_double_schubert(w, n)
         else:
             m = need("m", args.m)
-            _guard(args, m)
+            # stable_approx runs at rank m + len(w)
+            _guard(args, m, m + len(w))
             p = quantum.stable_approx(w, m)
             return _emit_poly(args, p, op=what, w=perms.as_text(w), m=m)
         return _emit_poly(args, p, op=what, w=perms.as_text(w), n=n if n else len(w))

@@ -301,19 +301,6 @@ def skew_data(w: Perm) -> tuple[Partition, Partition, tuple[int, ...]]:
 # -- reduced words -------------------------------------------------------------
 
 
-def reduced_word(w: Perm) -> tuple[int, ...]:
-    """One reduced word (deterministic: smallest descent peeled each step)."""
-    out = []
-    cur = w
-    while True:
-        d = descents(cur)
-        if not d:
-            break
-        out.append(d[0])
-        cur = times_s(cur, d[0])
-    return tuple(reversed(out))
-
-
 def reduced_words(w: Perm) -> list[tuple[int, ...]]:
     """All reduced words of w, sorted lexicographically."""
     return sorted(_words_ending(w, {}))
@@ -328,6 +315,33 @@ def _words_ending(v: Perm, memo: dict) -> list[tuple[int, ...]]:
         got = [word + (i,) for i in d for word in _words_ending(times_s(v, i), memo)] or [()]
         memo[v] = got
     return got
+
+
+def weak_factorizations(w: Perm) -> list[tuple[Perm, Perm]]:
+    """The pairs (u, v) with v = u w^-1 and l(u) + l(v) = l(w), so that
+    w = v^-1 u with lengths adding.
+
+    The u are the lower interval of w in the left weak order, listed in
+    breadth-first order from w down: u steps to s_i u, one shorter, when
+    value i+1 sits left of value i, and the step swaps those two values.
+    """
+    winv = inverse(w)
+    out = []
+    layer = {w: None}
+    while layer:
+        # every u of a layer has the same length, so a repeat can only come
+        # from the layer being built
+        nxt: dict = {}
+        for u in layer:
+            out.append((u, compose(u, winv)))
+            pos = inverse(u)
+            for i in range(1, len(u)):
+                if pos[i - 1] > pos[i]:
+                    s = list(u)
+                    s[pos[i - 1] - 1], s[pos[i] - 1] = i + 1, i
+                    nxt[tuple(s)] = None
+        layer = nxt
+    return out
 
 
 def compatible_sequences(word: Sequence[int]) -> list[tuple[int, ...]]:
@@ -441,11 +455,11 @@ __all__ = [
     "partitions_in_box",
     "permutations",
     "phi_hat",
-    "reduced_word",
     "reduced_words",
     "right_pad",
     "shape",
     "skew_data",
     "times_s",
     "trim",
+    "weak_factorizations",
 ]

@@ -174,9 +174,6 @@ class Poly:
 
     # -- inspection --------------------------------------------------------
 
-    def constant_term(self) -> int:
-        return self._terms.get(0, 0)
-
     def variables(self) -> list[tuple[int, int]]:
         """Sorted list of (family, index) pairs occurring in the polynomial."""
         return sorted(vsplit(k) for k in _codes(reduce(or_, self._terms, 0)))

@@ -4,22 +4,26 @@ The quantum elementary polynomials follow the three-term recurrence
 e~_k(X_r) = e~_k(X_{r-1}) + x_r e~_{k-1}(X_{r-1}) + q_{r-1} e~_{k-2}(X_{r-2}),
 i.e. they are the expansion coefficients of the tridiagonal determinant
 Delta_k(t|X_k) = sum_i e~_i(X_k) t^{k-i}.  The top double polynomial is
-prod_{i=1}^{n-1} Delta_i(y_{n-i}|X_i) and everything else descends from it by
-divided differences acting on the y alphabet; single polynomials set y = 0.
+prod_{i=1}^{n-1} Delta_i(y_{n-i}|X_i); S~_w(x, y) is its image under the
+y divided difference d^y_v, v = w w_0, and the single polynomials set y = 0.
 
 The y divided differences never touch x or q, so with the top polynomial
-written as sum_c y^c P_c(x, q) (grouped by y-monomial) S~_w(x, y) =
-sum_c d^y_v(y^c) P_c for v = w w_0.  Each operator lowers the y-degree by one,
-so only y-degrees of at least l(v) contribute; the doubles run these chains
-on single y-monomials.  The single polynomials (y = 0) need only the slice of
-y-degree exactly l(v), where each d^y_v(y^c) is an integer: the coefficient
-of S_v in the monomial y^c, read from a table of classical expansions
-(classical._monomial_expansions) with no chain at all.  The slices are built
-without the full product: each factor has a y variable of its own, so y^c
-picks one term of every factor and P_c = prod_i e~_{i-c_{n-i}}(X_i), a product
-over the choices that can still reach the slice's degree.  q_schubert over
-all 720 permutations of S_6 takes about 0.45 s on a 2-vCPU Xeon VM under
-CPython 3.11.
+written as sum_c y^c P_c(x, q) (grouped by y-monomial) S~_w(x) =
+sum_c d^y_v(y^c) P_c over the slice of y-degree exactly l(v), where each
+d^y_v(y^c) is an integer: the coefficient of S_v in the monomial y^c, read
+from a table of classical expansions (classical._monomial_expansions) with no
+chain at all.  The slices are built without the full product: each factor
+has a y variable of its own, so y^c picks one term of every factor and
+P_c = prod_i e~_{i-c_{n-i}}(X_i), a product over the choices that can still
+reach the slice's degree.  q_schubert over all 720 permutations of S_6 takes
+about 0.45 s on a 2-vCPU Xeon VM under CPython 3.11.
+
+The doubles come from the singles by the Cauchy formula
+S~_w(x, y) = sum S~_u(x) S_v(y) over the pairs of perms.weak_factorizations(w)
+(v = u w^-1, l(u) + l(v) = l(w)), Kirillov and Maeno's definition
+("Quantum double Schubert polynomials, quantum Schubert polynomials and
+Vafa-Intriligator formula", q-alg/9610022); at q = 0 it gives the classical
+double, built the same way in classical.double_schubert.
 
 Every determinantal family here is poly.jacobi_trudi with its own entry.
 """
@@ -103,7 +107,7 @@ def q_xy_complete(m: int, k: int, l: int) -> Poly:
     )
 
 
-# -- the top cell and divided-difference chains --------------------------------
+# -- the top cell and its y-slices ---------------------------------------------
 
 
 @cache
@@ -157,15 +161,8 @@ def q_double_schubert(w: Perm, n: int | None = None) -> Poly:
 
 @cache
 def _q_double_schubert(w: Perm) -> Poly:
-    # the grouped slices together make up the top cell; d^y_v lowers the
-    # y-degree by l(v), so the slices below l(v) contribute nothing
-    n = len(w)
-    word = perms.reduced_word(perms.compose(w, perms.longest(n)))
     return Poly.sum(
-        k * c
-        for want in range(len(word), n * (n - 1) // 2 + 1)
-        for m, c in _w0_y_slice(n, want)
-        if (k := classical.apply_word(m, word, Y))
+        _q_schubert(u) * classical.schubert_in_y(v) for u, v in perms.weak_factorizations(w)
     )
 
 

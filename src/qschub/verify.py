@@ -97,10 +97,6 @@ class _Timer:
 # -- cauchy ----------------------------------------------------------------------
 
 
-def _classical_in_y(w: perms.Perm) -> Poly:
-    return classical.schubert(w).rename_family(X, Y)
-
-
 def _double_in_a(w: perms.Perm, n: int) -> Poly:
     """S~_w(x, a): the quantum double polynomial at rank n with y->a."""
     return quantum.q_double_schubert(w, n).rename_family(Y, A)
@@ -137,7 +133,7 @@ def suite_cauchy(n: int) -> Report:
         top = quantum.q_w0_double(n)
 
         acc = Poly.sum(
-            quantum.q_schubert(w) * _classical_in_y(perms.compose(w, w0))
+            quantum.q_schubert(w) * classical.schubert_in_y(perms.compose(w, w0))
             for w in perms.permutations(n)
         )
         rep.check(f"single-expansion n={n}", acc, top)

@@ -54,7 +54,6 @@ def test_double_schubert():
     w0 = perms.longest(3)
     prod = (x(1) + y(1)) * (x(1) + y(2)) * (x(2) + y(1))
     assert classical.double_schubert(w0) == prod
-    assert classical.double_staircase(3) == prod
     # y = 0 recovers the single polynomial
     for w in perms.permutations(4):
         d = classical.double_schubert(w)
@@ -204,11 +203,3 @@ def test_implied_rank():
     assert classical.implied_rank(x(2)) == 3
     assert classical.implied_rank(x(1) ** 12) == 13
     assert classical.implied_rank(parse("x1^2*x2 + x3")) == 4
-
-
-def test_apply_word():
-    f = classical.staircase(3)
-    assert classical.apply_word(f, perms.reduced_word(perms.longest(3))) == ONE
-    # rightmost letter acts first
-    assert classical.apply_word(f, (1, 2)) == f.divided_diff(2).divided_diff(1)
-    assert classical.apply_word(f, ()) == f

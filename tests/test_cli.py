@@ -183,6 +183,12 @@ def test_rank_guard(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "rank -1 is negative" in err
+    # stable_approx runs at rank m + len(w), and the guard reads that rank
+    code, out, err = run(capsys, "compute", "stable", "--w", "321", "--m", "4")
+    assert (code, out) == (2, "")
+    assert "rank 7" in err
+    code, out, _ = run(capsys, "--max-n", "7", "compute", "stable", "--w", "321", "--m", "4")
+    assert code == 0 and out.strip()
     # the above-default warning prints once per command, however many ranks
     code, _, err = run(capsys, "--max-n", "7", "compute", "stable", "--w", "321", "--m", "1")
     assert code == 0

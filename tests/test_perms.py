@@ -156,7 +156,6 @@ def test_reduced_words():
     words = perms.reduced_words(w0)
     assert sorted(words) == [(1, 2, 1), (2, 1, 2)]
     for word in words:
-        assert perms.reduced_word(w0) in words
         v = perms.identity(3)
         for i in word:
             v = perms.times_s(v, i)
@@ -166,6 +165,25 @@ def test_reduced_words():
     assert perms.compatible_sequences((2, 1, 2)) == [(1, 1, 2)]
     assert perms.compatible_sequences((2, 2)) == [(1, 1), (1, 2), (2, 2)]
     assert perms.compatible_sequences(()) == [()]
+
+
+def test_weak_factorizations():
+    for n in range(1, 6):
+        for w in perms.permutations(n):
+            lw = perms.length(w)
+            winv = perms.inverse(w)
+            brute = {
+                (u, perms.compose(u, winv))
+                for u in perms.permutations(n)
+                if perms.length(u) + perms.length(perms.compose(u, winv)) == lw
+            }
+            pairs = perms.weak_factorizations(w)
+            assert len(pairs) == len(set(pairs)) and set(pairs) == brute, w
+            assert all(perms.compose(perms.inverse(v), u) == w for u, v in pairs)
+            # breadth-first from w: u's length never rises along the list
+            assert pairs[0] == (w, perms.identity(n))
+            lengths = [perms.length(u) for u, _ in pairs]
+            assert lengths == sorted(lengths, reverse=True)
 
 
 def test_word_enumerations_free_their_memos():

@@ -105,12 +105,50 @@ def test_classical_degeneration_s4():
         assert quantum.q_double_schubert(w, 4).subs(kill) == classical.double_schubert(w)
 
 
-def test_double_specializes_to_single():
-    # two routes: the doubles run y chains, the singles read the expansion table
+# -- y chains: a second construction of the doubles ---------------------------
+
+
+def _y_chain(f, v):
+    """d^y_v f: with i a descent of v, d^y_v = d^y_{v s_i} after d^y_i."""
+    d = perms.descents(v)
+    return _y_chain(f.divided_diff(d[0], Y), perms.times_s(v, d[0])) if d else f
+
+
+def _q_double_by_chains(w):
+    # S~_w(x, y) = d^y_v S~_{w0}(x, y), v = w w0, run on each y^c of the
+    # grouped top cell: sum_c d^y_v(y^c) P_c over the slices of degree >= l(v)
+    n = len(w)
+    v = perms.compose(w, perms.longest(n))
+    return Poly.sum(
+        _y_chain(m, v) * c
+        for want in range(perms.length(v), n * (n - 1) // 2 + 1)
+        for m, c in quantum._w0_y_slice(n, want)
+    )
+
+
+def test_q_double_matches_y_chains():
     for n in range(1, 6):
-        ykill = {(Y, i): 0 for i in range(1, n + 1)}
         for w in perms.permutations(n):
-            assert quantum.q_double_schubert(w, n).subs(ykill) == quantum.q_schubert(w), w
+            assert quantum.q_double_schubert(w) == _q_double_by_chains(w), w
+
+
+def test_double_matches_y_chains():
+    # S_w(x, y) = d^y_v prod_{i+j<=n} (x_i + y_j), v = w w0
+    for n in range(1, 6):
+        top = ONE
+        for i in range(1, n):
+            for j in range(1, n + 1 - i):
+                top = top * (x(i) + y(j))
+        for w in perms.permutations(n):
+            v = perms.compose(w, perms.longest(n))
+            assert classical.double_schubert(w) == _y_chain(top, v), w
+
+
+@pytest.mark.slow
+def test_q_double_matches_y_chains_s6():
+    # every 4th permutation, w0 among them: all 720 take about 33 s
+    for w in list(perms.permutations(6))[3::4]:
+        assert quantum.q_double_schubert(w) == _q_double_by_chains(w), w
 
 
 def test_q_schur_box_guard():
@@ -249,7 +287,7 @@ def test_rank6_matches_whole_slice_chain():
     assert sorted(picked) == list(range(16))
     for w in picked.values():
         v = perms.compose(w, perms.longest(n))
-        old = classical.apply_word(slices[perms.length(v)], perms.reduced_word(v), Y)
+        old = _y_chain(slices[perms.length(v)], v)
         assert quantum.q_schubert(w) == old, w
 
 
