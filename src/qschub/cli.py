@@ -106,9 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _guard(args, *dims: int | None) -> None:
     for d in dims:
-        if d is not None and d < 0:
-            raise QschubError(f"rank {d} is negative")
-        if d is not None and d > args.max_n:
+        if d is not None and perms.check_rank(d) > args.max_n:
             raise QschubError(
                 f"rank {d} exceeds the guard --max-n {args.max_n}; raise it "
                 "explicitly if you accept the runtime"

@@ -52,7 +52,7 @@ def from_text(s: str) -> Perm:
     return check_perm([int(ch) for ch in s])
 
 
-def _check_rank(n: int) -> int:
+def check_rank(n: int) -> int:
     """QschubError for a negative rank; n otherwise."""
     if n < 0:
         raise QschubError(f"rank {n} is negative")
@@ -65,7 +65,7 @@ def identity(n: int) -> Perm:
 
 def longest(n: int) -> Perm:
     """The longest element w_0 = (n, n-1, ..., 1)."""
-    _check_rank(n)
+    check_rank(n)
     return tuple(range(n, 0, -1))
 
 
@@ -140,17 +140,6 @@ def trim(w: Perm) -> Perm:
     return w[: min_rank(w)]
 
 
-def right_pad(w: Perm, k: int) -> Perm:
-    """Append k fixed points: w x 1^k."""
-    n = len(w)
-    return w + tuple(range(n + 1, n + k + 1))
-
-
-def pad_embed(m: int, v: Perm) -> Perm:
-    """1^m x v: shift v up by m after m leading fixed points."""
-    return tuple(range(1, m + 1)) + tuple(vi + m for vi in v)
-
-
 def cross_embed(u: Perm, v: Perm) -> Perm:
     """u x v = (u_1, ..., u_m, v_1+m, ..., v_n+m)."""
     m = len(u)
@@ -159,7 +148,7 @@ def cross_embed(u: Perm, v: Perm) -> Perm:
 
 def permutations(n: int) -> Iterator[Perm]:
     """All of S_n in lexicographic order."""
-    return itertools.permutations(range(1, _check_rank(n) + 1))
+    return itertools.permutations(range(1, check_rank(n) + 1))
 
 
 # -- pattern avoidance and classes -------------------------------------------
@@ -219,7 +208,7 @@ def enumerate_class(n: int, cls: str) -> list[Perm]:
     """All members of a class in S_n, lexicographic order."""
     if cls not in CLASS_TESTS:
         raise ValueError(f"unknown class {cls!r}; choose from {sorted(CLASS_TESTS)}")
-    if _check_rank(n) > ENUMERATION_CAP:
+    if check_rank(n) > ENUMERATION_CAP:
         raise RankTooLarge(f"rank {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     test = CLASS_TESTS[cls]
     return [w for w in permutations(n) if test(w)]
@@ -236,15 +225,14 @@ def grassmannian_descent(w: Perm) -> int:
     return d[0] if d else 0
 
 
-def flag_theta(w: Perm, tie: str = "max") -> tuple[int, ...]:
+def flag_theta(w: Perm) -> tuple[int, ...]:
     """The flag attached to the shape of w, sorted increasingly.
 
     For each position i with c_i != 0: g_i = i when every later code entry is
     <= c_i; otherwise g_i is the furthest later position with a larger code
-    entry (tie="min" selects the nearest instead).  The furthest reading is
-    the one under which every vexillary flagged-determinant identity checks
-    out on full rank sweeps (the nearest reading fails on 24513-type
-    permutations), so it is the default everywhere.
+    entry.  The furthest reading is the one under which every vexillary
+    flagged-determinant identity checks out on full rank sweeps (the nearest
+    later position fails on 24513-type permutations).
     """
     c = code(w)
     n = len(c)
@@ -253,14 +241,7 @@ def flag_theta(w: Perm, tie: str = "max") -> tuple[int, ...]:
         if not c[i]:
             continue
         larger = [j for j in range(i + 1, n) if c[j] > c[i]]
-        if not larger:
-            out.append(i + 1)
-        elif tie == "min":
-            out.append(larger[0] + 1)
-        elif tie == "max":
-            out.append(larger[-1] + 1)
-        else:
-            raise ValueError(f"tie must be 'min' or 'max', not {tie!r}")
+        out.append(larger[-1] + 1 if larger else i + 1)
     return tuple(sorted(out))
 
 
@@ -426,6 +407,7 @@ __all__ = [
     "avoids",
     "check_partition",
     "check_perm",
+    "check_rank",
     "check_flags",
     "code",
     "compatible_sequences",
@@ -451,12 +433,10 @@ __all__ = [
     "length",
     "longest",
     "min_rank",
-    "pad_embed",
     "partitions_in_box",
     "permutations",
     "phi_hat",
     "reduced_words",
-    "right_pad",
     "shape",
     "skew_data",
     "times_s",

@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul
-from .errors import ExponentOverflow, NonSquare, VariableOutOfRange
+from .errors import ExponentOverflow, NonSquare, ShapeOutOfBox, VariableOutOfRange
 
 X, Y, Q, A = 0, 1, 2, 3
 _LETTERS = "xyqa"
@@ -231,36 +231,7 @@ class Poly:
         shift = WIDTH * vcode(family, index)
         return max(((m >> shift) & FIELD for m in self._terms), default=0)
 
-    # -- substitution and specialization ------------------------------------
-
-    def subs(self, mapping: Mapping[tuple[int, int], Union["Poly", int]]) -> "Poly":
-        """Simultaneously substitute polynomials for variables.
-
-        Keys are (family, index) pairs; values may be Poly or int.
-        """
-        # a term's replaced factors multiply in (family, index) order
-        repl = [
-            (WIDTH * vcode(fam, idx), val if isinstance(val, Poly) else Poly.const(val))
-            for (fam, idx), val in sorted(mapping.items())
-        ]
-        out: dict = {}
-        powcache: dict = {}
-        for m, c in self._terms.items():
-            kept = m
-            piece: Poly | None = None
-            for shift, val in repl:
-                e = (m >> shift) & FIELD
-                if e:
-                    kept -= e << shift
-                    key = (shift, e)
-                    p = powcache.get(key)
-                    if p is None:
-                        p = val**e
-                        powcache[key] = p
-                    piece = p if piece is None else piece * p
-            base = {kept: c}
-            padd(out, base if piece is None else pmul(base, piece._terms))
-        return Poly(out)
+    # -- specialization ----------------------------------------------------
 
     def drop_vars(self, pred: Callable[[int, int], bool]) -> "Poly":
         """Set to zero every variable with pred(family, index) true.
@@ -272,15 +243,6 @@ class Poly:
             if pred(*vsplit(k)):
                 dead |= FIELD << WIDTH * k
         return Poly({m: c for m, c in self._terms.items() if not m & dead})
-
-    def restrict(self, m: int) -> "Poly":
-        """Project to the rank-m ring: x_j -> 0 for j > m, q_j -> 0 for j >= m.
-
-        The y and a alphabets pass through untouched.
-        """
-        return self.drop_vars(
-            lambda fam, idx: (fam == X and idx > m) or (fam == Q and idx >= m)
-        )
 
     def rename_family(self, src: int, dst: int) -> "Poly":
         """Relabel every src-family variable as the dst-family variable of the
@@ -495,9 +457,12 @@ def jacobi_trudi(
 
     The shape of every determinantal formula here: entry(k, i, j) is the
     degree-k function of row i's and column j's alphabets.  size defaults to
-    len(lam); lam and mu are padded with zeros up to it.
+    len(lam); lam and mu are padded with zeros up to it, and ShapeOutOfBox
+    when either has a nonzero part past it.
     """
     m = len(lam) if size is None else size
+    if any(lam[m:]) or any(mu[m:]):
+        raise ShapeOutOfBox(f"{tuple(lam)} / {tuple(mu)} has parts past the {m} rows")
     lam = tuple(lam) + (0,) * (m - len(lam))
     mu = tuple(mu) + (0,) * (m - len(mu))
     return determinant([[entry(lam[i] - mu[j] - i + j, i, j) for j in range(m)] for i in range(m)])

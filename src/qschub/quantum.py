@@ -151,7 +151,7 @@ def _embed(w: Perm, n: int | None) -> Perm:
         return w
     if len(w) > n:
         raise RankMismatch(f"{w} does not fit in rank {n}")
-    return perms.right_pad(w, n - len(w))
+    return perms.cross_embed(w, perms.identity(n - len(w)))
 
 
 def q_double_schubert(w: Perm, n: int | None = None) -> Poly:
@@ -222,8 +222,11 @@ def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
     which leaves every deformation term the expansion produces alive.
     RankTooLarge, before any work, when f implies a rank above max_n
     (classical.implied_rank): the quantum Schubert polynomials run at that
-    rank, whatever n is, and their cost grows fast with it.
+    rank, whatever n is, and their cost grows fast with it.  A negative n is
+    refused (perms.check_rank).
     """
+    if n is not None:
+        perms.check_rank(n)
     rank = classical.implied_rank(f)
     if rank > max_n:
         raise RankTooLarge(f"rank {rank} implied by the polynomial exceeds max_n {max_n}")
@@ -232,7 +235,7 @@ def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
         return Poly()
     if n is None:
         n = max(len(w) for w in expansion)
-    return Poly.sum(c * q_schubert(w) for w, c in expansion.items()).restrict(n)
+    return coeff_window(Poly.sum(c * q_schubert(w) for w, c in expansion.items()), n, n - 1)
 
 
 # -- determinantal families ----------------------------------------------------
@@ -248,6 +251,7 @@ def q_schur(lam, r: int, n: int) -> Poly:
 
 def q_monomial(alpha: Sequence[int], n: int) -> Poly:
     """Quantization x~^alpha of the monomial x^alpha, alpha under the staircase."""
+    perms.check_rank(n)
     alpha = tuple(alpha)
     if any(e < 0 for e in alpha):
         raise CompositionOutOfBox(f"{alpha} has a negative exponent")
@@ -259,12 +263,11 @@ def q_monomial(alpha: Sequence[int], n: int) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_complete(d, i + 1), alpha, size=n - 1)
 
 
-def q_bjs(w: Perm, n: int | None = None) -> Poly:
+def q_bjs(w: Perm) -> Poly:
     """Billey-Jockusch-Stanley-style sum of quantized monomials over all
     reduced words and their compatible sequences."""
     w = perms.check_perm(w)
-    if n is None:
-        n = len(w)
+    n = len(w)
     # a compatible sequence b contributes x~^alpha, alpha_i = #{k : b_k = i}
     return Poly.sum(
         q_monomial(tuple(b.count(i) for i in range(1, n + 1)), n)
@@ -292,14 +295,12 @@ def q_flagged(lam, mu=(), xflags=(), yflags=None) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_xy_complete(d, xflags[i], yflags[i]), lam, mu)
 
 
-def q_rv_double(w: Perm, n: int | None = None) -> Poly:
+def q_rv_double(w: Perm) -> Poly:
     """Determinant formula for S~_w(x,y), w restricted vexillary: row i
     carries the difference alphabet X_{theta_i} - Y_{thetainv_{lam_i}}."""
     w = perms.check_perm(w)
     if not perms.is_restricted_vexillary(w):
         raise NotRestrictedVexillary(f"{w} contains one of 2143, 2413, 2431")
-    if n is not None and len(w) > n:
-        raise RankMismatch(f"{w} does not fit in rank {n}")
     lam = perms.shape(w)
     thetainv = perms.flag_theta(perms.inverse(w))
     return q_flagged(lam, xflags=perms.flag_theta(w), yflags=[thetainv[k - 1] for k in lam])
@@ -343,7 +344,8 @@ def q_factorial_schur(lam, r: int, n: int) -> Poly:
 
 def stable_approx(w: Perm, m: int) -> Poly:
     """S~_{1^m x w} at ambient rank m + |w| (the stable approximation)."""
-    return q_schubert(perms.pad_embed(m, perms.check_perm(w)))
+    w = perms.check_perm(w)
+    return q_schubert(perms.cross_embed(perms.identity(perms.check_rank(m)), w))
 
 
 def coeff_window(p: Poly, x_max: int, q_max: int) -> Poly:

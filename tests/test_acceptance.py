@@ -158,23 +158,24 @@ def test_criterion_08_classical_degeneration():
     """Setting q = 0 recovers the classical counterpart of every quantum
     object for all permutations through rank 5."""
     with budget(120, "8"):
-        kill = {(Q, i): 0 for i in range(1, 6)}
+
+        def at_q0(p):
+            return p.drop_vars(lambda fam, idx: fam == Q)
+
         for r in range(0, 6):
             for k in range(0, 7):
-                assert quantum.q_elementary(k, r).subs(kill) == classical.elem_sym(k, r)
-                assert quantum.q_complete(k, r).subs(kill) == classical.complete_sym(k, r)
+                assert at_q0(quantum.q_elementary(k, r)) == classical.elem_sym(k, r)
+                assert at_q0(quantum.q_complete(k, r)) == classical.complete_sym(k, r)
         for n in range(1, 6):
             for w in perms.permutations(n):
-                assert quantum.q_schubert(w).subs(kill) == classical.schubert(w)
-                assert quantum.q_double_schubert(w, n).subs(kill) == classical.double_schubert(
-                    w
-                )
+                assert at_q0(quantum.q_schubert(w)) == classical.schubert(w)
+                assert at_q0(quantum.q_double_schubert(w, n)) == classical.double_schubert(w)
         for n in range(2, 6):
             for r in range(1, n):
                 for lam in perms.partitions_in_box(r, n - r):
                     if not lam:
                         continue
-                    assert quantum.q_schur(lam, r, n).subs(kill) == classical.schur(lam, r)
+                    assert at_q0(quantum.q_schur(lam, r, n)) == classical.schur(lam, r)
 
 
 def test_criterion_09_factorial_worked_example():

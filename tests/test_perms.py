@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qschub import perms
+from qschub import perms, quantum
 from qschub.errors import Not321Avoiding, NotGrassmannian, QschubError
+from qschub.poly import parse
 
 
 def _catalan(n: int) -> int:
@@ -63,8 +64,8 @@ def test_code_and_shape():
 
 
 def test_embeddings():
-    assert perms.right_pad((2, 1), 2) == (2, 1, 3, 4)
-    assert perms.pad_embed(2, (2, 1)) == (1, 2, 4, 3)
+    assert perms.cross_embed((2, 1), perms.identity(2)) == (2, 1, 3, 4)
+    assert perms.cross_embed(perms.identity(2), (2, 1)) == (1, 2, 4, 3)
     assert perms.cross_embed((2, 1), (2, 1)) == (2, 1, 4, 3)
     u = (2, 3, 1)
     assert perms.cross_embed(u, (1,)) == (2, 3, 1, 4)
@@ -102,6 +103,14 @@ def test_negative_ranks_are_refused():
         perms.longest(-2)
     assert list(perms.permutations(0)) == [()]
     assert perms.longest(0) == ()
+    # the quantum entry points that take a rank refuse a negative one too
+    with pytest.raises(QschubError, match="rank -1 is negative"):
+        quantum.quantize(parse("x1^2+3"), -1)
+    with pytest.raises(QschubError, match="rank -2 is negative"):
+        quantum.q_monomial((), -2)
+    with pytest.raises(QschubError, match="rank -1 is negative"):
+        quantum.stable_approx((2, 1), -1)
+    assert perms.check_rank(0) == 0
 
 
 def test_classify_consistency():
@@ -114,24 +123,17 @@ def test_classify_consistency():
 
 
 def test_flag_theta_readings():
-    # one-descent permutations are insensitive to the tie rule
     assert perms.flag_theta((3, 4, 1, 2)) == (1, 2)
-    assert perms.flag_theta((3, 4, 1, 2), tie="min") == (1, 2)
-    # the readings separate on 24513 and on 135624
-    assert perms.flag_theta((2, 4, 5, 1, 3), tie="max") != perms.flag_theta(
-        (2, 4, 5, 1, 3), tie="min"
-    )
-    assert perms.flag_theta((1, 3, 5, 6, 2, 4), tie="max") == (3, 4, 4)
-    assert perms.flag_theta((1, 3, 5, 6, 2, 4), tie="min") == (3, 3, 4)
+    # the furthest later position with a larger code entry
+    assert perms.flag_theta((1, 3, 5, 6, 2, 4)) == (3, 4, 4)
     # flags are weakly increasing and bounded by the rank
     for w in perms.permutations(5):
         if not perms.is_vexillary(w) or not perms.shape(w):
             continue
-        for tie in ("max", "min"):
-            th = perms.flag_theta(w, tie=tie)
-            assert len(th) == len(perms.shape(w))
-            assert all(th[i] <= th[i + 1] for i in range(len(th) - 1))
-            assert all(1 <= t <= len(w) for t in th)
+        th = perms.flag_theta(w)
+        assert len(th) == len(perms.shape(w))
+        assert all(th[i] <= th[i + 1] for i in range(len(th) - 1))
+        assert all(1 <= t <= len(w) for t in th)
 
 
 def test_skew_data():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qschub.poly as poly_module
-from qschub.errors import ExponentOverflow, NonSquare, VariableOutOfRange
+from qschub.classical import complete_sym
+from qschub.errors import ExponentOverflow, NonSquare, ShapeOutOfBox, VariableOutOfRange
 from qschub.poly import (
     A,
     MAX_INDEX,
@@ -162,9 +163,7 @@ def test_parse_grammar():
 
 def test_subs_and_families():
     p = x(1) ** 2 + q(1) * x(2) + y(1)
-    assert p.subs({(Q, 1): 0}) == x(1) ** 2 + y(1)
-    assert p.subs({(X, 1): y(2)}) == y(2) ** 2 + q(1) * x(2) + y(1)
-    assert p.subs({(X, 2): 3}) == x(1) ** 2 + 3 * q(1) + y(1)
+    assert p.drop_vars(lambda fam, idx: fam == Q and idx == 1) == x(1) ** 2 + y(1)
     assert p.rename_family(Y, A) == x(1) ** 2 + q(1) * x(2) + a(1)
     assert (x(1) + y(1)).negate_family(Y) == x(1) - y(1)
     assert (y(1) ** 2).negate_family(Y) == y(1) ** 2
@@ -222,6 +221,12 @@ def test_jacobi_trudi_matches_written_matrix():
         [[entry(2, 0, 0), entry(3, 0, 1)], [entry(1, 1, 0), entry(2, 1, 1)]]
     )
     assert jacobi_trudi(entry, ()) == ONE
+    # trailing zero parts are padding; a nonzero part past size is refused
+    assert jacobi_trudi(entry, (2, 2, 0), (1, 0, 0), size=2) == jacobi_trudi(entry, (2, 2), (1,))
+    with pytest.raises(ShapeOutOfBox):
+        jacobi_trudi(lambda k, i, j: complete_sym(k, 3), (2, 1, 1), size=2)
+    with pytest.raises(ShapeOutOfBox):
+        jacobi_trudi(entry, (2, 1), (1, 1, 1))
 
 
 def _cofactor(m) -> Poly:
