@@ -355,8 +355,10 @@ def conjugate(lam: Sequence[int]) -> Partition:
 
 
 def fits_box(lam: Sequence[int], rows: int, cols: int) -> bool:
+    """Whether lam fits in a rows x cols box; no partition fits a box with a
+    negative side, the empty one included."""
     lam = check_partition(lam)
-    return len(lam) <= rows and (not lam or lam[0] <= cols)
+    return len(lam) <= rows and (lam[0] if lam else 0) <= cols
 
 
 def partitions_in_box(rows: int, cols: int) -> list[Partition]:

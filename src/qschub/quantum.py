@@ -26,6 +26,17 @@ Vafa-Intriligator formula", q-alg/9610022); at q = 0 it gives the classical
 double, built the same way in classical.double_schubert.
 
 Every determinantal family here is poly.jacobi_trudi with its own entry.
+
+Memo policy.  Every functools.cache here is keyed on normalized arguments,
+holds read-only values (a memoized Poly also keeps its default text(), so a
+repeated request skips the render) and descends from e~, so each one is
+listed in _E_MEMOS, which set_elementary_override clears.  The public
+functions run every check before the memo, so a refused input never enters
+it.  q_schur and q_monomial keep results only up to the desk-scale rank
+DEFAULT_MAX_N and build afresh above it: the default identity sweep calls
+q_schur at ranks 7-8 with no repeats, so keeping those would only hold memory.
+q_flagged is not memoized: keeping its results raised the default sweep's peak
+memory by about 1.5 MiB (8%).
 """
 
 from __future__ import annotations
@@ -186,34 +197,6 @@ def _q_schubert(w: Perm) -> Poly:
     )
 
 
-# everything above that descends from e~, cleared whenever the override changes
-_E_MEMOS = (
-    q_elementary,
-    q_complete,
-    q_xy_elementary,
-    q_xy_complete,
-    q_w0_double,
-    _w0_y_slice,
-    _q_double_schubert,
-    _q_schubert,
-)
-
-
-def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> None:
-    """Install (or remove, with None) an e~ override.
-
-    Every memo derived from e~ (e~, h~, their difference-alphabet forms, the
-    top cell, its grouped y-slices, single and double quantum Schubert
-    polynomials) is cleared, so later calls see the override and, once it is
-    removed, the true e~ again.  The classical Schubert tables do not depend
-    on e~ and stay.
-    """
-    global _override
-    _override = fn
-    for memo in _E_MEMOS:
-        memo.cache_clear()
-
-
 def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
     """Quantization: expand in Schubert polynomials, substitute the quantum
     ones, then project to the rank-n ring (x_{>n} and q_{>=n} vanish).
@@ -235,7 +218,8 @@ def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
         return Poly()
     if n is None:
         n = max(len(w) for w in expansion)
-    return coeff_window(Poly.sum(c * q_schubert(w) for w, c in expansion.items()), n, n - 1)
+    total = Poly.combination((c, q_schubert(w)) for w, c in expansion.items())
+    return coeff_window(total, n, n - 1)
 
 
 # -- determinantal families ----------------------------------------------------
@@ -246,6 +230,11 @@ def q_schur(lam, r: int, n: int) -> Poly:
     lam = perms.check_partition(lam)
     if not perms.fits_box(lam, r, n - r):
         raise ShapeOutOfBox(f"{lam} does not fit in a {r}x{n - r} box")
+    return (_q_schur if n <= DEFAULT_MAX_N else _q_schur.__wrapped__)(lam, r, n)
+
+
+@cache
+def _q_schur(lam: perms.Partition, r: int, n: int) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_elementary(d, r + j), perms.conjugate(lam), size=n - r)
 
 
@@ -260,7 +249,43 @@ def q_monomial(alpha: Sequence[int], n: int) -> Poly:
     alpha = (alpha + (0,) * n)[: n - 1]
     if any(alpha[i] > n - 1 - i for i in range(n - 1)):
         raise CompositionOutOfBox(f"{alpha} is not bounded by the staircase of rank {n}")
+    return (_q_monomial if n <= DEFAULT_MAX_N else _q_monomial.__wrapped__)(alpha, n)
+
+
+@cache
+def _q_monomial(alpha: tuple[int, ...], n: int) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_complete(d, i + 1), alpha, size=n - 1)
+
+
+# every memo in this module, all descending from e~: cleared whenever the
+# override changes
+_E_MEMOS = (
+    q_elementary,
+    q_complete,
+    q_xy_elementary,
+    q_xy_complete,
+    q_w0_double,
+    _w0_y_slice,
+    _q_double_schubert,
+    _q_schubert,
+    _q_schur,
+    _q_monomial,
+)
+
+
+def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> None:
+    """Install (or remove, with None) an e~ override.
+
+    Every memo derived from e~ (e~, h~, their difference-alphabet forms, the
+    top cell, its grouped y-slices, single and double quantum Schubert
+    polynomials, quantum Schur functions and quantized monomials) is cleared,
+    so later calls see the override and, once it is removed, the true e~
+    again.  The classical Schubert tables do not depend on e~ and stay.
+    """
+    global _override
+    _override = fn
+    for memo in _E_MEMOS:
+        memo.cache_clear()
 
 
 def q_bjs(w: Perm) -> Poly:

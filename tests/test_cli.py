@@ -205,6 +205,11 @@ def test_parse_error_exit(capsys):
     code, out, err = run(capsys, "compute", "qmonomial", "--alpha", "1,-1", "--n", "3")
     assert (code, out) == (2, "")
     assert "negative exponent" in err
+    # r = 3 rows do not fit in rank 2, even for the empty shape
+    for what in ("qschur", "qfactorial"):
+        code, out, err = run(capsys, "compute", what, "--lam", "", "--r", "3", "--n", "2")
+        assert (code, out) == (2, "")
+        assert "does not fit" in err
     # past the packed encoding's bounds: a typed error, never a wrapped value
     code, _, err = run(capsys, "compute", "quantize", "--poly", "x1^200", "--n", "3")
     assert code == 2

@@ -17,7 +17,7 @@ from qschub.errors import (
     RankTooLarge,
     ShapeOutOfBox,
 )
-from qschub.poly import ONE, Poly, Q, X, Y, ZERO, _join, _names, parse, q, x, y
+from qschub.poly import ONE, Poly, Q, X, Y, ZERO, _join, _names, jacobi_trudi, parse, q, x, y
 
 
 def _at_q0(p: Poly) -> Poly:
@@ -157,6 +157,40 @@ def test_q_schur_box_guard():
         "x1^2*x2^2 - q2*x1^2 + 2*q1*x1*x2 + q1^2 + q1*q2"
     )
     assert quantum.q_schur((), 2, 4) == ONE
+    # no shape fits a box with a negative side, the empty one included
+    with pytest.raises(ShapeOutOfBox):
+        quantum.q_schur((), 3, 2)
+    with pytest.raises(ShapeOutOfBox):
+        quantum.q_factorial_schur((), 3, 2)
+    assert not perms.fits_box((), 3, -1) and not perms.fits_box((), -1, 3)
+
+
+def test_determinant_memos():
+    quantum.q_schur((2, 1), 2, 4)
+    hits = quantum._q_schur.cache_info().hits
+    # a partition with trailing zeros is the same key
+    assert quantum.q_schur((2, 1, 0), 2, 4) is quantum.q_schur((2, 1), 2, 4)
+    assert quantum._q_schur.cache_info().hits == hits + 2
+    quantum.q_monomial((1,), 3)
+    hits = quantum._q_monomial.cache_info().hits
+    assert quantum.q_monomial((1, 0, 0), 3) is quantum.q_monomial((1,), 3)
+    assert quantum._q_monomial.cache_info().hits == hits + 2
+    # above the desk-scale rank the result is built afresh and not kept
+    n = quantum.DEFAULT_MAX_N + 1
+    lam = (2, 1)
+    size = quantum._q_schur.cache_info().currsize
+    got = quantum.q_schur(lam, n - lam[0], n)
+    assert quantum._q_schur.cache_info().currsize == size
+    # the suites' h-determinant construction, column alphabets X_{r+1-j}
+    r = n - lam[0]
+    assert got == jacobi_trudi(lambda d, i, j: quantum.q_complete(d, r - j), lam, size=r)
+    # a refused input never enters the memo
+    with pytest.raises(ShapeOutOfBox):
+        quantum.q_schur((3,), 2, 4)
+    assert quantum._q_schur.cache_info().currsize == size
+    # every memo of the module is cleared by the e~ override
+    memos = {f for f in vars(quantum).values() if hasattr(f, "cache_clear")}
+    assert memos == set(quantum._E_MEMOS)
 
 
 def test_q_monomial():
@@ -251,6 +285,7 @@ def test_elementary_override_hook():
     assert quantum.q_elementary(2, 2) == parse("x1*x2 + q1")
     assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
     xy_e, xy_h = quantum.q_xy_elementary(2, 2, 1), quantum.q_xy_complete(2, 2, 1)
+    schur, mono = quantum.q_schur((1, 1), 2, 4), quantum.q_monomial((1, 1), 3)
     quantum.set_elementary_override(hook)
     try:
         assert quantum.q_elementary(2, 2) == corrupted
@@ -258,12 +293,17 @@ def test_elementary_override_hook():
         assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 - q1")
         assert quantum.q_xy_elementary(2, 2, 1) == xy_e - 2 * q(1)
         assert quantum.q_xy_complete(2, 2, 1) == xy_h + 2 * q(1)
+        # s~_11(X_2) = e~_2(X_2); x~_1 x~_2 = h~_1(X_1) h~_1(X_2) - h~_2(X_1)
+        assert quantum.q_schur((1, 1), 2, 4) == corrupted
+        assert quantum.q_monomial((1, 1), 3) == mono - 2 * q(1)
     finally:
         quantum.set_elementary_override(None)
     assert quantum.q_elementary(2, 2) == parse("x1*x2 + q1")
     assert quantum.q_schubert((2, 3, 1)) == parse("x1*x2 + q1")
     assert quantum.q_xy_elementary(2, 2, 1) == xy_e
     assert quantum.q_xy_complete(2, 2, 1) == xy_h
+    assert quantum.q_schur((1, 1), 2, 4) == schur == parse("x1*x2 + q1")
+    assert quantum.q_monomial((1, 1), 3) == mono
 
 
 def test_rank6_matches_whole_slice_chain():
