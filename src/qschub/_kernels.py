@@ -6,8 +6,8 @@ Monagan and Pearce ("Polynomial division using dynamic arrays, heaps, and
 packed exponent vectors", CASC 2007): variable code s owns the byte at bits
 [8s, 8s + 8), which holds its exponent.  The constant monomial is 0.  Which
 variable has which code is the caller's business (see poly.py).  padd and
-pmul write into a dict they are given (an accumulator); pswap and pdivdiff
-return a new dict.
+pmul write into a dict they are given (an accumulator); pdivdiff returns a
+new dict.
 
 The top bit of every byte is a guard bit, so exponents run from 0 to
 MAX_EXP = 127.  Two guard-free monomials multiply by int addition without
@@ -84,15 +84,8 @@ def pmul(p1: dict, p2: dict, acc: dict | None = None, c: int = 1) -> dict:
     return acc
 
 
-def pswap(p: dict, u: int, v: int) -> dict:
-    """Exchange the variables with codes u and v throughout p."""
-    su, sv = WIDTH * u, WIDTH * v
-    step = (1 << su) - (1 << sv)
-    return {m + (((m >> sv) & FIELD) - ((m >> su) & FIELD)) * step: c for m, c in p.items()}
-
-
 def pdivdiff(p: dict, u: int, v: int) -> dict:
-    """(p - pswap(p, u, v)) / (u - v), computed monomial by monomial.
+    """(p - p with u and v exchanged) / (u - v), computed monomial by monomial.
 
     For a monomial u^a v^b r the quotient telescopes to
     sign * sum_t u^t v^(a+b-1-t) r over t in [min(a,b), max(a,b)), so no

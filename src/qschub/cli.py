@@ -29,7 +29,10 @@ def _ints(s: str) -> tuple[int, ...]:
     s = s.strip()
     if not s:
         return ()
-    return tuple(int(p) for p in s.split(","))
+    try:
+        return tuple(int(p) for p in s.split(","))
+    except ValueError:
+        raise QschubError(f"{s!r} is not a comma-separated list of integers") from None
 
 
 @cache
@@ -240,6 +243,8 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
     try:
+        if args.max_n < 0:
+            raise QschubError(f"--max-n {args.max_n} is negative")
         if args.verb == "compute":
             return _cmd_compute(args)
         if args.verb == "verify":

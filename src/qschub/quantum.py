@@ -26,6 +26,12 @@ Vafa-Intriligator formula", q-alg/9610022); at q = 0 it gives the classical
 double, built the same way in classical.double_schubert.
 
 Every determinantal family here is poly.jacobi_trudi with its own entry.
+The e~ determinants whose column j is written at the alphabet X_{r+j}
+(q_schur, q_grassmannian_double) are evaluated at X_{r+ceil(j/2)} instead,
+through e_jacobi_trudi: column operations by the recurrence above move every
+column down to the smallest alphabet they can reach, so the value is the same
+and the entries are smaller.  The h~ table q_complete stays on the direct form
+(see there).
 
 Memo policy.  Every functools.cache here is keyed on normalized arguments,
 holds read-only values (a memoized Poly also keeps its default text(), so a
@@ -90,6 +96,31 @@ def delta(k: int, t: Poly) -> Poly:
     return Poly.sum(q_elementary(i, k) * t ** (k - i) for i in range(k + 1))
 
 
+def e_jacobi_trudi(
+    entry: Callable[[int, int, int], Poly], lam: Sequence[int], r: int, size: int | None = None
+) -> Poly:
+    """det(entry(lam_i - i + j, i, r + j)), evaluated as
+    det(entry(lam_i - i + j, i, r + ceil(j/2))), 0 <= i, j < size.
+
+    entry(k, i, m) is a degree-k e~ of the alphabet X_m, with whatever row i
+    adds (e~_k(X_m) itself, or e~_k(X_m - Y) for a Y fixed along the row), so
+    by the recurrence
+    entry(k, i, m) - x_m entry(k-1, i, m-1) - q_{m-1} entry(k-2, i, m-2)
+    = entry(k, i, m-1).
+    In the written matrix column j - 1 and column j - 2 hold degrees one and
+    two lower at X_{r+j-1} and X_{r+j-2}, so subtracting x_{r+j} times column
+    j - 1 and q_{r+j-1} times column j - 2 from column j turns it into the same
+    column at X_{r+j-1}, and leaves the determinant unchanged.  Passes from
+    right to left over j >= 2, then j >= 4, then j >= 6, ... each lower every
+    column they touch by one; a pass stops where the two columns to its left
+    are no longer at consecutive alphabets, which leaves column j at
+    X_{r+ceil(j/2)}.  Only ranks m >= r + 2 use the recurrence, so with r >= 1
+    an e~ overridden at rank 2 or below (set_elementary_override) gives the
+    two forms the same value.
+    """
+    return jacobi_trudi(lambda d, i, j: entry(d, i, r + (j + 1) // 2), lam, size=size)
+
+
 @cache
 def q_complete(k: int, r: int) -> Poly:
     """The quantum complete polynomial h~_k(X_r), as an e~ determinant."""
@@ -97,6 +128,12 @@ def q_complete(k: int, r: int) -> Poly:
         return Poly()
     if k == 0:
         return Poly.const(1)
+    # the direct X_{r+j} columns, not e_jacobi_trudi: h~ feeds both sides of
+    # the h-determinant and dual identities, and the larger alphabets keep a
+    # corrupted high e~ visible there (one term's sign flipped in e~_4(X_5) or
+    # e~_5(X_5) failed 67 and 62 cases of the default sweep with the reduced
+    # form, 237 and 215 with this one); the 39 h~ the sweep asks for cost
+    # about 20 ms
     return jacobi_trudi(lambda d, i, j: q_elementary(d, r + j), (1,) * k)
 
 
@@ -226,7 +263,9 @@ def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
 
 
 def q_schur(lam, r: int, n: int) -> Poly:
-    """Quantum Schur function s~_lam(X_r) inside rank n (lam in an r x (n-r) box)."""
+    """Quantum Schur function s~_lam(X_r) inside rank n (lam in an r x (n-r) box):
+    det(e~_{lam'_i - i + j}(X_{r+j})) over 0 <= i, j < n - r, evaluated with
+    column j at X_{r+ceil(j/2)} (e_jacobi_trudi; the same value)."""
     lam = perms.check_partition(lam)
     if not perms.fits_box(lam, r, n - r):
         raise ShapeOutOfBox(f"{lam} does not fit in a {r}x{n - r} box")
@@ -235,7 +274,7 @@ def q_schur(lam, r: int, n: int) -> Poly:
 
 @cache
 def _q_schur(lam: perms.Partition, r: int, n: int) -> Poly:
-    return jacobi_trudi(lambda d, i, j: q_elementary(d, r + j), perms.conjugate(lam), size=n - r)
+    return e_jacobi_trudi(lambda d, i, m: q_elementary(d, m), perms.conjugate(lam), r, n - r)
 
 
 def q_monomial(alpha: Sequence[int], n: int) -> Poly:
@@ -341,7 +380,9 @@ def q_dominant_double(w: Perm) -> Poly:
 
 
 def q_grassmannian_double(w: Perm, n: int | None = None) -> Poly:
-    """det(e~_{lam'_i - i + j}(X_{r-1+j} - Y_{thetainv_i})) for Grassmannian w."""
+    """det(e~_{lam'_i - i + j}(X_{r-1+j} - Y_{thetainv_i})) for Grassmannian w
+    (columns counted from 1 here), evaluated with column j at X_{r+floor(j/2)}
+    (e_jacobi_trudi: each row keeps its own Y, so the value is the same)."""
     w = perms.check_perm(w)
     if not perms.is_grassmannian(w):
         raise NotGrassmannian(f"{w} has more than one descent")
@@ -352,9 +393,7 @@ def q_grassmannian_double(w: Perm, n: int | None = None) -> Poly:
     r = perms.grassmannian_descent(w)
     lamc = perms.conjugate(perms.shape(w))
     rowflags = perms.flag_theta(perms.inverse(w)) + (0,) * (n - r)
-    return jacobi_trudi(
-        lambda d, i, j: q_xy_elementary(d, r + j, rowflags[i]), lamc, size=n - r
-    )
+    return e_jacobi_trudi(lambda d, i, m: q_xy_elementary(d, m, rowflags[i]), lamc, r, n - r)
 
 
 def q_factorial_schur(lam, r: int, n: int) -> Poly:

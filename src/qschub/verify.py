@@ -253,14 +253,16 @@ def _staircase_compositions(m: int):
 
 def _dual_determinants(lam) -> tuple[Poly, Poly]:
     """The e~/h~ determinant pair for a partition lam of length r: the e~-side
-    runs over the conjugate shape with row alphabets X_{r-1+j} - Y_{r-lam'_i+i},
-    the h~-side over lam itself with X_{r-j+1} - Y_{gamma(i)},
-    gamma(j) = r + lam_j - lam'_{lam_j}."""
+    runs over the conjugate shape with alphabets X_{r-1+j} - Y_{r-lam'_i+i}
+    (column j, row i, counted from 1), evaluated with column j at
+    X_{r+floor(j/2)} (quantum.e_jacobi_trudi: every row keeps its own Y, so the
+    value is the same); the h~-side runs over lam itself with
+    X_{r-j+1} - Y_{gamma(i)}, gamma(j) = r + lam_j - lam'_{lam_j}."""
     lam = perms.check_partition(lam)
     r = len(lam)
     lamc = perms.conjugate(lam)
-    lhs = jacobi_trudi(
-        lambda d, i, j: quantum.q_xy_elementary(d, r + j, r + 1 + i - lamc[i]), lamc
+    lhs = quantum.e_jacobi_trudi(
+        lambda d, i, m: quantum.q_xy_elementary(d, m, r + 1 + i - lamc[i]), lamc, r
     )
     rhs = jacobi_trudi(
         lambda d, i, j: quantum.q_xy_complete(d, r - j, r + lam[i] - lamc[lam[i] - 1]), lam

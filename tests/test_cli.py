@@ -210,6 +210,14 @@ def test_parse_error_exit(capsys):
         code, out, err = run(capsys, "compute", what, "--lam", "", "--r", "3", "--n", "2")
         assert (code, out) == (2, "")
         assert "does not fit" in err
+    # a negative guard is refused up front, not reported against some rank
+    code, out, err = run(capsys, "--max-n", "-1", "compute", "qschubert", "--w", "132")
+    assert (code, out) == (2, "")
+    assert "--max-n -1 is negative" in err
+    # an empty entry in a list of integers names the text it came from
+    code, out, err = run(capsys, "compute", "qmonomial", "--alpha", "1,,2", "--n", "4")
+    assert (code, out) == (2, "")
+    assert "'1,,2' is not a comma-separated list of integers" in err
     # past the packed encoding's bounds: a typed error, never a wrapped value
     code, _, err = run(capsys, "compute", "quantize", "--poly", "x1^200", "--n", "3")
     assert code == 2

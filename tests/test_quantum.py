@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qschub import classical, perms, quantum
+from qschub import classical, perms, quantum, verify
 from qschub.errors import (
     BadFlag,
     CompositionOutOfBox,
@@ -191,6 +191,45 @@ def test_determinant_memos():
     # every memo of the module is cleared by the e~ override
     memos = {f for f in vars(quantum).values() if hasattr(f, "cache_clear")}
     assert memos == set(quantum._E_MEMOS)
+
+
+def test_column_reduced_e_determinants():
+    # the e~ determinants are evaluated with column j at X_{r+ceil(j/2)};
+    # the written form, column j at X_{r+j}, is the second construction
+    def direct_schur(lam, r, n):
+        lamc = perms.conjugate(lam)
+        return jacobi_trudi(lambda d, i, j: quantum.q_elementary(d, r + j), lamc, size=n - r)
+
+    # sizes up to 5 (the second pass), one of size 6, and the sweep's rank-8 shapes
+    cases = [
+        (lam, r, n)
+        for n in range(7)
+        for r in range(n + 1)
+        for lam in perms.partitions_in_box(r, n - r)
+    ]
+    cases += [(lam, 1, 7) for lam in perms.partitions_in_box(1, 6)]
+    cases += [(lam, 4, 8) for lam in ((4, 4, 4), (4, 4, 4, 4), (4, 3, 2, 1), (3, 3, 2))]
+    for lam, r, n in cases:
+        assert quantum.q_schur(lam, r, n) == direct_schur(lam, r, n), (lam, r, n)
+
+    for m in range(1, 6):
+        for w in perms.permutations(m):
+            if not perms.is_grassmannian(w):
+                continue
+            r = perms.grassmannian_descent(w)
+            lamc = perms.conjugate(perms.shape(w))
+            rowflags = perms.flag_theta(perms.inverse(w)) + (0,) * (m - r)
+            direct = jacobi_trudi(
+                lambda d, i, j: quantum.q_xy_elementary(d, r + j, rowflags[i]), lamc, size=m - r
+            )
+            assert quantum.q_grassmannian_double(w) == direct, w
+
+    for lam in perms.partitions_in_box(3, 3):
+        r, lamc = len(lam), perms.conjugate(lam)
+        direct = jacobi_trudi(
+            lambda d, i, j: quantum.q_xy_elementary(d, r + j, r + 1 + i - lamc[i]), lamc
+        )
+        assert verify._dual_determinants(lam)[0] == direct, lam
 
 
 def test_q_monomial():
