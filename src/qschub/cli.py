@@ -20,7 +20,7 @@ import traceback
 from functools import cache
 
 from . import classical, perms, quantum, verify
-from .errors import QschubError, RankTooLarge
+from .errors import ParseError, QschubError, RankTooLarge
 from .poly import Y, Poly, parse
 from .quantum import DEFAULT_MAX_N
 
@@ -32,7 +32,7 @@ def _ints(s: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in s.split(","))
     except ValueError:
-        raise QschubError(f"{s!r} is not a comma-separated list of integers") from None
+        raise ParseError(f"{s!r} is not a comma-separated list of integers") from None
 
 
 @cache
@@ -253,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_enumerate(args)
         if args.verb == "conjecture":
             return _cmd_conjecture(args)
-    except (QschubError, ValueError) as exc:
+    except QschubError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

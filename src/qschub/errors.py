@@ -59,3 +59,15 @@ class ExponentOverflow(QschubError):
 
 class VariableOutOfRange(QschubError, ValueError):
     """A variable index is below 1 or above the encoding's bound."""
+
+
+class ParseError(QschubError, ValueError):
+    """Text is not in the grammar it was given as (a polynomial, a list of integers)."""
+
+
+class BadPermutation(QschubError, ValueError):
+    """A sequence is not a permutation in one-line notation."""
+
+
+class BadPartition(QschubError, ValueError):
+    """A sequence is not a partition (nonnegative, weakly decreasing)."""

@@ -12,6 +12,8 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BadFlag,
+    BadPartition,
+    BadPermutation,
     InvalidCode,
     Not321Avoiding,
     NotGrassmannian,
@@ -31,7 +33,7 @@ def check_perm(w: Sequence[int]) -> Perm:
     """Validate one-line notation and return it as a tuple."""
     t = tuple(w)
     if sorted(t) != list(range(1, len(t) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(t)}: {t}")
+        raise BadPermutation(f"not a permutation of 1..{len(t)}: {t}")
     return t
 
 
@@ -45,11 +47,13 @@ def as_text(w: Perm) -> str:
 def from_text(s: str) -> Perm:
     """Parse one-line notation as printed by as_text."""
     s = s.strip()
-    if "," in s:
-        return check_perm([int(p) for p in s.split(",")])
-    if not s.isdigit():
-        raise ValueError(f"not a permutation: {s!r}")
-    return check_perm([int(ch) for ch in s])
+    if "," not in s and not s.isdigit():
+        raise BadPermutation(f"not a permutation: {s!r}")
+    try:
+        entries = [int(p) for p in (s.split(",") if "," in s else s)]
+    except ValueError:  # an empty entry, or a digit int() refuses, such as '²'
+        raise BadPermutation(f"not a permutation: {s!r}") from None
+    return check_perm(entries)
 
 
 def check_rank(n: int) -> int:
@@ -207,7 +211,7 @@ CLASS_TESTS = {
 def enumerate_class(n: int, cls: str) -> list[Perm]:
     """All members of a class in S_n, lexicographic order."""
     if cls not in CLASS_TESTS:
-        raise ValueError(f"unknown class {cls!r}; choose from {sorted(CLASS_TESTS)}")
+        raise QschubError(f"unknown class {cls!r}; choose from {sorted(CLASS_TESTS)}")
     if check_rank(n) > ENUMERATION_CAP:
         raise RankTooLarge(f"rank {n} exceeds the enumeration cap {ENUMERATION_CAP}")
     test = CLASS_TESTS[cls]
@@ -341,7 +345,7 @@ def compatible_sequences(word: Sequence[int]) -> list[tuple[int, ...]]:
 def check_partition(lam: Sequence[int]) -> Partition:
     t = tuple(lam)
     if any(p < 0 for p in t) or any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-        raise ValueError(f"not a partition: {t}")
+        raise BadPartition(f"not a partition: {t}")
     while t and t[-1] == 0:
         t = t[:-1]
     return t

@@ -29,7 +29,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul
-from .errors import ExponentOverflow, NonSquare, ShapeOutOfBox, VariableOutOfRange
+from .errors import ExponentOverflow, NonSquare, ParseError, ShapeOutOfBox, VariableOutOfRange
 
 X, Y, Q, A = 0, 1, 2, 3
 _LETTERS = "xyqa"
@@ -490,6 +490,13 @@ def _check_bits(bits: int) -> None:
         )
 
 
+def _literal(s: str, i: int, j: int) -> int:
+    try:
+        return int(s[i:j])
+    except ValueError:  # a digit int() refuses ('²'), or past CPython's digit limit
+        raise ParseError(f"{s[i:j][:20]!r} at position {i} is not a usable integer") from None
+
+
 def _tokenize(s: str) -> list:
     toks: list = []
     i, n = 0, len(s)
@@ -501,15 +508,15 @@ def _tokenize(s: str) -> list:
             j = i
             while j < n and s[j].isdigit():
                 j += 1
-            toks.append(("num", int(s[i:j])))
+            toks.append(("num", _literal(s, i, j)))
             i = j
         elif ch in _FAMILY_OF:
             j = i + 1
             while j < n and s[j].isdigit():
                 j += 1
             if j == i + 1:
-                raise ValueError(f"variable letter {ch!r} needs an index (position {i})")
-            idx = int(s[i + 1 : j])
+                raise ParseError(f"variable letter {ch!r} needs an index (position {i})")
+            idx = _literal(s, i + 1, j)
             toks.append(("var", (_FAMILY_OF[ch], idx)))
             i = j
         elif ch == "*":
@@ -523,7 +530,7 @@ def _tokenize(s: str) -> list:
             toks.append((ch, None))
             i += 1
         else:
-            raise ValueError(f"unexpected character {ch!r} at position {i}")
+            raise ParseError(f"unexpected character {ch!r} at position {i}")
     return toks
 
 
@@ -549,7 +556,7 @@ class _Parser:
     def parse(self) -> Poly:
         out = self.expr()
         if self.pos != len(self.toks):
-            raise ValueError(f"trailing input from token {self.pos}")
+            raise ParseError(f"trailing input from token {self.pos}")
         return out
 
     def peek(self):
@@ -567,19 +574,19 @@ class _Parser:
         if kind == "var":
             fam, idx = self.take()[1]
             if idx < 1:
-                raise ValueError("variable indices start at 1")
+                raise ParseError("variable indices start at 1")
             return Poly.variable(fam, idx)
         if kind == "(":
             self.take()
             p = self.expr()
             if self.peek() != ")":
-                raise ValueError("unbalanced parenthesis")
+                raise ParseError("unbalanced parenthesis")
             self.take()
             return p
         if kind == "-":
             self.take()
             return -self.atom()
-        raise ValueError("expected a number, variable or parenthesized expression")
+        raise ParseError("expected a number, variable or parenthesized expression")
 
     def factor(self) -> Poly:
         p = self.atom()
@@ -587,7 +594,7 @@ class _Parser:
             return p
         self.take()
         if self.peek() != "num":
-            raise ValueError("exponent must be a literal integer")
+            raise ParseError("exponent must be a literal integer")
         e = self.take()[1]
         # capped whatever the base, so a constant like 2^N cannot build an N-bit int
         if e > MAX_EXP:

@@ -377,13 +377,13 @@ def suite_grassmannian(n: int) -> Report:
                 rep.check(
                     f"factorial-cauchy n={np_} r={r}", acc, quantum.q_double_schubert(v, np_)
                 )
-        # block determinant for v = (s+1, ..., n', 1, ..., s)
+        # block determinant for v = (s+1, ..., n', 1, ..., s), columns reduced
         for np_ in range(2, n + 1):
             for s in range(1, np_):
                 r = np_ - s
                 v = tuple(range(s + 1, np_ + 1)) + tuple(range(1, s + 1))
-                rect = jacobi_trudi(
-                    lambda d, i, j: quantum.q_xy_elementary(d, r + j, i + 1), (r,) * s
+                rect = quantum.e_jacobi_trudi(
+                    lambda d, i, m: quantum.q_xy_elementary(d, m, i + 1), (r,) * s, r
                 )
                 rep.check(
                     f"rectangle-determinant n={np_} s={s}",

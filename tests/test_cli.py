@@ -252,6 +252,15 @@ def test_internal_error_exit(capsys, monkeypatch):
     assert err.startswith("internal error: AssertionError: y chain left")
     assert "Traceback" in err
 
+    # a ValueError is internal too: only a QschubError is a refused input
+    def misused(w, n=None):
+        return perms.times_s(w, 9)
+
+    monkeypatch.setattr(quantum, "q_schubert", misused)
+    code, out, err = run(capsys, "compute", "qschubert", "--w", "231")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ValueError: transposition index 9")
+
 
 def test_cached_parser_keeps_no_state(capsys):
     """The parser is built once per process; no call leaks into the next."""

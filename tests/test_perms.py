@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub import perms, quantum
-from qschub.errors import Not321Avoiding, NotGrassmannian, QschubError
+from qschub.errors import (
+    BadPartition,
+    BadPermutation,
+    Not321Avoiding,
+    NotGrassmannian,
+    QschubError,
+)
 from qschub.poly import parse
 
 
@@ -30,9 +36,13 @@ def test_basics():
     assert perms.as_text((1, 3, 5, 2, 4)) == "13524"
     assert perms.from_text("13524") == (1, 3, 5, 2, 4)
     assert perms.from_text("10,2,1,3,4,5,6,7,8,9") == (10, 2, 1, 3, 4, 5, 6, 7, 8, 9)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadPermutation, match=r"of 1\.\.4"):
         perms.from_text("1325")
-    with pytest.raises(ValueError):
+    # an empty entry and a digit int() refuses are typed refusals too
+    for bad in ("1,,2", "1\u00b2", "", "1a"):
+        with pytest.raises(BadPermutation, match="not a permutation"):
+            perms.from_text(bad)
+    with pytest.raises(BadPermutation):
         perms.check_perm((1, 1, 2))
 
 
@@ -88,7 +98,7 @@ def test_class_counts():
         assert len(perms.enumerate_class(n, "321-avoiding")) == _catalan(n)
         assert len(perms.enumerate_class(n, "132-avoiding")) == _catalan(n)
     assert [perms.as_text(w) for w in perms.enumerate_class(2, "dominant")] == ["12", "21"]
-    with pytest.raises(Exception):
+    with pytest.raises(QschubError, match="unknown class"):
         perms.enumerate_class(4, "nosuch")
     # refused with the CLI's message, not answered as rank 0
     with pytest.raises(QschubError, match="rank -1 is negative"):
@@ -205,8 +215,9 @@ def test_word_enumerations_free_their_memos():
 def test_partitions():
     assert perms.check_partition((3, 1)) == (3, 1)
     assert perms.check_partition(()) == ()
-    with pytest.raises(Exception):
-        perms.check_partition((1, 3))
+    for bad in ((1, 3), (2, -1)):
+        with pytest.raises(BadPartition):
+            perms.check_partition(bad)
     assert perms.conjugate((3, 1)) == (2, 1, 1)
     assert perms.conjugate(perms.conjugate((4, 2, 1))) == (4, 2, 1)
     box = perms.partitions_in_box(2, 2)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import qschub.poly as poly_module
 from qschub.classical import complete_sym
-from qschub.errors import ExponentOverflow, NonSquare, ShapeOutOfBox, VariableOutOfRange
+from qschub.errors import (
+    ExponentOverflow,
+    NonSquare,
+    ParseError,
+    ShapeOutOfBox,
+    VariableOutOfRange,
+)
 from qschub.poly import (
     A,
     MAX_INDEX,
@@ -156,8 +162,9 @@ def test_parse_grammar():
     assert parse("2*(x1 + y2)^2 - q1") == 2 * (x(1) + y(2)) ** 2 - q(1)
     assert parse("x2 - x2") == ZERO
     assert parse("2 x1 y1") == 2 * x(1) * y(1)  # juxtaposition multiplies
-    for bad in ("x", "x0", "1 +", "x1^x2", "(x1", "z1"):
-        with pytest.raises(ValueError):
+    # a digit int() refuses and a literal past CPython's digit limit included
+    for bad in ("x", "x0", "1 +", "x1^x2", "(x1", "z1", "x1)", "x1\u00b2", "9" * 5000):
+        with pytest.raises(ParseError):
             parse(bad)
 
 

@@ -3,7 +3,9 @@ determinants, quantization, and stable approximants."""
 
 from __future__ import annotations
 
+import math
 import time
+from functools import cache
 
 import pytest
 
@@ -17,7 +19,23 @@ from qschub.errors import (
     RankTooLarge,
     ShapeOutOfBox,
 )
-from qschub.poly import ONE, Poly, Q, X, Y, ZERO, _join, _names, jacobi_trudi, parse, q, x, y
+from qschub.poly import (
+    ONE,
+    Poly,
+    Q,
+    X,
+    Y,
+    ZERO,
+    _bytes,
+    _family_mask,
+    _join,
+    _names,
+    jacobi_trudi,
+    parse,
+    q,
+    x,
+    y,
+)
 
 
 def _at_q0(p: Poly) -> Poly:
@@ -82,11 +100,15 @@ def test_top_cell_product():
 
 
 def test_top_cell_slices_make_up_the_product():
-    # the grouped y-slices, summed over every degree, rebuild prod Delta_i
-    for n in range(1, 6):
-        pairs = [p for want in range(n * (n - 1) // 2 + 1) for p in quantum._w0_y_slice(n, want)]
-        assert Poly.sum(m * c for m, c in pairs) == quantum.q_w0_double(n)
-        assert len({m.text() for m, _ in pairs}) == len(pairs)
+    # Delta_1 = x1 + y_{n-1} times the grouped tail Delta_2 ... Delta_{n-1}
+    # rebuilds prod Delta_i; the tail has one entry per choice of a term in
+    # each of its factors
+    for n in range(2, 7):
+        tail = quantum._top_cell_tail(n)
+        assert len(tail) == math.factorial(n) // 2
+        if n <= 5:
+            rest = Poly.sum(Poly({t: 1}) * p for t, p in tail.items())
+            assert (x(1) + y(n - 1)) * rest == quantum.q_w0_double(n)
 
 
 def test_rank_embedding_consistency():
@@ -113,15 +135,27 @@ def _y_chain(f, v):
     return _y_chain(f.divided_diff(d[0], Y), perms.times_s(v, d[0])) if d else f
 
 
+@cache
+def _top_cell_by_y(n):
+    """The terms of S~_{w_0}(x, y) grouped by their y-part: {y^c: P_c} with
+    y^c as its packed monomial.  Built from the whole product, not from the
+    tail quantum._q_schubert reads."""
+    groups: dict = {}
+    for m, k in quantum.q_w0_double(n).terms.items():
+        c = m & _family_mask(Y, m)
+        groups.setdefault(c, {})[m - c] = k
+    return {c: Poly(t) for c, t in groups.items()}
+
+
 def _q_double_by_chains(w):
     # S~_w(x, y) = d^y_v S~_{w0}(x, y), v = w w0, run on each y^c of the
-    # grouped top cell: sum_c d^y_v(y^c) P_c over the slices of degree >= l(v)
+    # grouped top cell: sum_c d^y_v(y^c) P_c over the y^c of degree >= l(v)
     n = len(w)
     v = perms.compose(w, perms.longest(n))
     return Poly.sum(
-        _y_chain(m, v) * c
-        for want in range(perms.length(v), n * (n - 1) // 2 + 1)
-        for m, c in quantum._w0_y_slice(n, want)
+        _y_chain(Poly({c: 1}), v) * p
+        for c, p in _top_cell_by_y(n).items()
+        if sum(_bytes(c)) >= perms.length(v)
     )
 
 
@@ -148,6 +182,21 @@ def test_q_double_matches_y_chains_s6():
     # every 4th permutation, w0 among them: all 720 take about 33 s
     for w in list(perms.permutations(6))[3::4]:
         assert quantum.q_double_schubert(w) == _q_double_by_chains(w), w
+
+
+def test_q_schubert_matches_slices():
+    # y = 0 keeps the y-degree-l(v) slice of the grouped top cell:
+    # S~_w = sum_c k_c P_c, k_c the coefficient of S_v in y^c, v = w w0
+    for n in range(1, 7):
+        for w in perms.permutations(n):
+            v = perms.compose(w, perms.longest(n))
+            table = classical._monomial_expansions(n, perms.length(v))
+            slice_sum = Poly.combination(
+                (k, p)
+                for c, p in _top_cell_by_y(n).items()
+                if c in table and (k := table[c].get(v))
+            )
+            assert quantum.q_schubert(w) == slice_sum, w
 
 
 def test_q_schur_box_guard():
@@ -230,6 +279,18 @@ def test_column_reduced_e_determinants():
             lambda d, i, j: quantum.q_xy_elementary(d, r + j, r + 1 + i - lamc[i]), lamc
         )
         assert verify._dual_determinants(lam)[0] == direct, lam
+
+    # suite_grassmannian's rectangle determinants, e~_k(X_{r+j} - Y_{i+1})
+    for np_ in range(2, 7):
+        for s in range(1, np_):
+            r = np_ - s
+            direct = jacobi_trudi(
+                lambda d, i, j: quantum.q_xy_elementary(d, r + j, i + 1), (r,) * s
+            )
+            reduced = quantum.e_jacobi_trudi(
+                lambda d, i, m: quantum.q_xy_elementary(d, m, i + 1), (r,) * s, r
+            )
+            assert reduced == direct, (np_, s)
 
 
 def test_q_monomial():
