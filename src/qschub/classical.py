@@ -44,20 +44,20 @@ def _single_layer(n: int, length: int) -> dict:
 @cache
 def _monomial_expansions(n: int, length: int) -> dict:
     """Every monomial under the rank-n staircase of degree `length` in the
-    Schubert basis, keyed by the same monomial in y: {y^a: {w: c}} with
-    x^a = sum c S_w over the w in S_n of that length.
+    Schubert basis, keyed by its exponents a = (a_1, ..., a_{n-1}):
+    {a: {w: c}} with x^a = sum c S_w over the w in S_n of that length.
 
     The leader of S_w (Poly.leading_term) is x^code(w) with coefficient 1
     (Macdonald, Notes on Schubert Polynomials, 1991), and the codes of S_n
-    are exactly the exponents under the staircase, so each expansion is one
-    triangular reduction with no divided differences.
+    less their last 0 are the exponents under the staircase, so each
+    expansion is one triangular reduction with no divided differences.
     """
     layer = _single_layer(n, length)
     lead = {f.leading_term()[0]: (w, f) for w, f in layer.items()}
     out = {}
     for u in layer:
-        xa = monomial([(X, i, e) for i, e in enumerate(perms.code(u), 1)])
-        out[xa.rename_family(X, Y).leading_term()[0]] = xa.triangular_expand(lead)
+        a = perms.code(u)[:-1]
+        out[a] = monomial([(X, i, e) for i, e in enumerate(a, 1)]).triangular_expand(lead)
     return out
 
 

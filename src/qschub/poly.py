@@ -24,12 +24,20 @@ and indices at MAX_INDEX (VariableOutOfRange).
 from __future__ import annotations
 
 from functools import reduce
+from itertools import accumulate
 from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul
-from .errors import ExponentOverflow, NonSquare, ParseError, ShapeOutOfBox, VariableOutOfRange
+from .errors import (
+    CompositionOutOfBox,
+    ExponentOverflow,
+    NonSquare,
+    ParseError,
+    ShapeOutOfBox,
+    VariableOutOfRange,
+)
 
 X, Y, Q, A = 0, 1, 2, 3
 _LETTERS = "xyqa"
@@ -382,7 +390,7 @@ def monomial(pairs: Iterable[tuple[int, int, int]], c: int = 1) -> Poly:
     m = 0
     for fam, idx, e in pairs:
         if e < 0:
-            raise ValueError(f"negative exponent {e}")
+            raise CompositionOutOfBox(f"negative exponent {e}")
         shift = WIDTH * vcode(fam, idx)
         if ((m >> shift) & FIELD) + e > MAX_EXP:
             raise ExponentOverflow(f"exponent of {_LETTERS[fam]}{idx} above {MAX_EXP}")
@@ -475,6 +483,9 @@ def jacobi_trudi(
 # str(int) prints
 MAX_POWER_BITS = 4096
 
+# how deep parse lets parentheses nest, well inside the recursion limit
+MAX_NESTING = 100
+
 
 def _norm_bits(p: Poly) -> int:
     """Bits of the sum of |coefficients|.  That sum bounds every coefficient
@@ -539,11 +550,15 @@ def parse(s: str) -> Poly:
 
     Terms are integer-coefficient products of x<k>, y<k>, q<k>, a<k> joined
     by ``*``, exponents via ``^`` (or ``**``, a literal of at most MAX_EXP),
-    combined with ``+``/``-``; parentheses are accepted.  Round-trips with
-    Poly.text().  A product or power whose coefficients could pass
-    MAX_POWER_BITS bits raises ExponentOverflow before it is computed.
+    combined with ``+``/``-``, in parentheses at most MAX_NESTING deep.
+    Round-trips with Poly.text().  A product or power whose coefficients could
+    pass MAX_POWER_BITS bits raises ExponentOverflow before it is computed.
     """
-    return _Parser(_tokenize(s)).parse()
+    toks = _tokenize(s)
+    if s.count("(") > MAX_NESTING:
+        if max(accumulate({"(": 1, ")": -1}.get(t, 0) for t, _ in toks)) > MAX_NESTING:
+            raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
+    return _Parser(toks).parse()
 
 
 class _Parser:
@@ -584,8 +599,13 @@ class _Parser:
             self.take()
             return p
         if kind == "-":
-            self.take()
-            return -self.atom()
+            # a chain of unary minuses is one sign, read in a loop: the atom
+            # after it starts with no minus, so this recursion is one level
+            negate = False
+            while self.peek() == "-":
+                self.take()
+                negate = not negate
+            return -self.atom() if negate else self.atom()
         raise ParseError("expected a number, variable or parenthesized expression")
 
     def factor(self) -> Poly:

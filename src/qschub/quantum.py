@@ -8,20 +8,20 @@ prod_{i=1}^{n-1} Delta_i(y_{n-i}|X_i); S~_w(x, y) is its image under the
 y divided difference d^y_v, v = w w_0, and the single polynomials set y = 0.
 
 The y divided differences never touch x or q, so with the top polynomial
-written as sum_c y^c P_c(x, q) (grouped by y-monomial) S~_w(x) =
-sum_c d^y_v(y^c) P_c over the y^c of degree exactly l(v), where each
-d^y_v(y^c) is an integer: the coefficient of S_v in the monomial y^c, read
+written as sum_a y^a P_a(x, q) (grouped by y-monomial) S~_w(x) =
+sum_a d^y_v(y^a) P_a over the y^a of degree exactly l(v), where each
+d^y_v(y^a) is an integer: the coefficient of S_v in the monomial y^a, read
 from a table of classical expansions (classical._monomial_expansions) with no
-chain at all.  Each factor has a y variable of its own, so y^c picks one term
-of every factor and P_c = prod_i e~_{i-c_{n-i}}(X_i).  The n! products P_c
-are never built: only the tail Delta_2 ... Delta_{n-1} is kept, grouped the
-same way (n!/2 entries), and since Delta_1(y_{n-1}|X_1) = x_1 + y_{n-1} the
-sum is x_1 * (the sum over the y^c free of y_{n-1}) + (the sum over the
-others), each of its terms a tail entry.  (A tail Delta_3 ... Delta_{n-1}
-builds faster still, but the entries of Delta_1 Delta_2 have two terms, and
-multiplying them in made each permutation's sum about a third slower.)
-q_schubert over all 720 permutations of S_6 takes 0.22-0.34 s cold, at a
-peak RSS of 24 MiB with the import, on a 2-vCPU Xeon VM under CPython 3.11.
+chain at all.  Each factor has a y variable of its own, so y^a picks one term
+of every factor and P_a = prod_i e~_{i-a_{n-i}}(X_i).  Both are keyed by the
+exponents a = (a_1, ..., a_{n-1}), a Lehmer code of S_n less its last 0.  The
+n! products P_a are never built: only the tail Delta_2 ... Delta_{n-1} is
+kept, keyed by (a_1, ..., a_{n-2}) (n!/2 entries), and since
+Delta_1(y_{n-1}|X_1) = x_1 + y_{n-1} the sum is x_1 * (the sum over the a with
+a_{n-1} = 0) + (the sum over a_{n-1} = 1), each term a tail entry.  (A tail
+Delta_3 ... Delta_{n-1} builds faster still, but the entries of Delta_1
+Delta_2 have two terms, and multiplying them in made each permutation's sum
+about a third slower.)
 
 The doubles come from the singles by the Cauchy formula
 S~_w(x, y) = sum S~_u(x) S_v(y) over the pairs of perms.weak_factorizations(w)
@@ -173,17 +173,15 @@ def q_w0_double(n: int) -> Poly:
 
 
 @cache
-def _top_cell_tail(n: int) -> dict[int, Poly]:
+def _top_cell_tail(n: int) -> dict[tuple[int, ...], Poly]:
     """Delta_2 ... Delta_{n-1}, the top cell without its first factor, grouped
-    by y-monomial: {y^c: P_c} with y^c as its packed monomial and
-    P_c = prod_{i>=2} e~_{i-c_{n-i}}(X_i) free of y.  The dict is never
+    by y-monomial: {(a_1, ..., a_{n-2}): P_a} for the y^a it holds, with
+    P_a = prod_{i>=2} e~_{i-a_{n-i}}(X_i) free of y.  The dict is never
     written after this build."""
-    out = {0: Poly.const(1)}
+    out = {(): Poly.const(1)}
     for i in range(2, n):
-        yv = y(n - i).leading_term()[0]
-        out = {
-            c + d * yv: p * q_elementary(i - d, i) for c, p in out.items() for d in range(i + 1)
-        }
+        # Delta_i carries y_{n-i}: its exponent d goes in front
+        out = {(d,) + c: p * q_elementary(i - d, i) for c, p in out.items() for d in range(i + 1)}
     return out
 
 
@@ -215,20 +213,19 @@ def q_schubert(w: Perm, n: int | None = None) -> Poly:
 
 @cache
 def _q_schubert(w: Perm) -> Poly:
-    # y = 0 keeps only the y-degree-l(v) part of the top cell, sum_c k_c P_c
-    # with k_c = d^y_v(y^c) the coefficient of S_v in y^c
+    # y = 0 keeps only the y-degree-l(v) part of the top cell, sum_a k_a P_a
+    # with k_a = d^y_v(y^a) the coefficient of S_v in y^a
     n = len(w)
     if n < 2:
         return Poly.const(1)
     v = perms.compose(w, perms.longest(n))
     tail = _top_cell_tail(n)
-    # Delta_1(y_{n-1}|X_1) = e~_1(X_1) + y_{n-1}, and y_{n-1} owns the top
-    # byte of every y^c: a y^c below that byte took e~_1(X_1) from it
-    top = y(n - 1).leading_term()[0]
+    # Delta_1(y_{n-1}|X_1) = e~_1(X_1) + y_{n-1}: a y^a with a_{n-1} = 0 took
+    # e~_1(X_1) from it, one with a_{n-1} = 1 took 1
     with_e1, without = [], []
-    for c, coeffs in classical._monomial_expansions(n, perms.length(v)).items():
+    for a, coeffs in classical._monomial_expansions(n, perms.length(v)).items():
         if k := coeffs.get(v):
-            (without if c >= top else with_e1).append((k, tail[c % top]))
+            (with_e1, without)[a[-1]].append((k, tail[a[:-1]]))
     return Poly.combination([(1, q_elementary(1, 1) * Poly.combination(with_e1)), *without])
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import classical, perms, quantum
-from .poly import A, Poly, X, Y, determinant, jacobi_trudi, parse, q, x
+from .poly import A, Poly, X, Y, determinant, jacobi_trudi, monomial, parse, q, x
 
 __all__ = [
     "Report",
@@ -193,16 +193,14 @@ def suite_schur(n: int) -> Report:
                 )
 
         # x~^alpha == quantize(x^alpha) for alpha under the staircase
+        # (the codes of S_m less their last 0, in lexicographic order)
         for m in range(2, n + 1):
-            for alpha in _staircase_compositions(m):
-                mono = Poly.const(1)
-                for i, e in enumerate(alpha):
-                    if e:
-                        mono = mono * x(i + 1) ** e
+            for w in perms.permutations(m):
+                alpha = perms.code(w)[:-1]
                 rep.check(
                     f"monomial-quantize alpha={alpha} n={m}",
                     quantum.q_monomial(alpha, m),
-                    quantum.quantize(mono, m),
+                    quantum.quantize(monomial([(X, i, e) for i, e in enumerate(alpha, 1)]), m),
                 )
 
         # reduced-word/compatible-sequence expansion
@@ -241,14 +239,6 @@ def suite_schur(n: int) -> Report:
             lhs, rhs = _dual_determinants(lam)
             rep.check(f"dual-determinants lam={lam}", lhs, rhs)
     return rep
-
-
-def _staircase_compositions(m: int):
-    """All exponent vectors alpha with alpha_i <= m - i (the rank-m staircase)."""
-    out = [()]
-    for i in range(1, m):
-        out = [a + (e,) for a in out for e in range(m - i + 1)]
-    return out
 
 
 def _dual_determinants(lam) -> tuple[Poly, Poly]:

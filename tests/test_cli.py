@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschub import cli, perms, quantum
@@ -237,6 +239,16 @@ def test_parse_error_exit(capsys):
     code, _, err = run(capsys, "compute", "quantize", "--poly", long_product, "--n", "3")
     assert code == 2
     assert "4096 bits" in err
+    # deep input never reaches the recursion limit: a long chain of unary
+    # minuses computes, and deeply nested parentheses are refused
+    minuses = "x2*" + "-" * 1000 + "x1"
+    code, out, _ = run(capsys, "compute", "quantize", "--poly", minuses, "--n", "3")
+    assert (code, out) == (0, "x1*x2 + q1\n")
+    for deep in (101, 300):
+        nested = "(" * deep + "x1" + ")" * deep
+        code, out, err = run(capsys, "compute", "quantize", "--poly", nested, "--n", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses nested deeper than 100")
 
 
 def test_internal_error_exit(capsys, monkeypatch):
@@ -290,6 +302,73 @@ def test_missing_required_option(capsys):
     code, _, err = run(capsys, "compute", "qschubert")
     assert code == 2
     assert "--w" in err
+
+
+# odd option values (negative, empty, repeated commas, huge, deeply nested)
+# and a few that compute, for the integer options and for the others
+_INTS = ("-1", "0", "2", "3", "5", "", "9" * 40)
+_TEXTS = _INTS + (
+    ",",
+    "1,,2",
+    "2,-1",
+    "321",
+    "13524",
+    "2,1",
+    "x1^2 + q1",
+    "x1^200",
+    "-(x1",
+    # deep enough to pass the recursion limit hypothesis raises while it runs
+    "(" * 2000 + "x1" + ")" * 2000,
+    "x2*" + "-" * 5000 + "x1",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command line under --max-n 5: verb, targets and choices drawn from the
+    parser itself, every other option value from _INTS or _TEXTS or left out,
+    and verify and conjecture always at --n <= 3 (--slow is never drawn), so a
+    run stays cheap."""
+    argv, verb = ["--max-n", "5"], None
+    parser = cli.build_parser()
+    while parser is not None:
+        actions, parser = parser._actions, None
+        for act in actions:
+            if isinstance(act.choices, dict):  # the verbs: descend into one
+                verb = draw(st.sampled_from(sorted(act.choices)))
+                argv.append(verb)
+                parser = act.choices[verb]
+            elif act.dest in ("help", "max_n", "slow"):
+                continue
+            elif not act.option_strings:
+                argv.append(draw(st.sampled_from(act.choices)))
+            elif act.dest == "n" and verb in ("verify", "conjecture"):
+                argv.append(f"--n={draw(st.sampled_from(('-1', '0', '1', '2', '3')))}")
+            elif act.nargs == 0:
+                argv += [act.option_strings[0]] * draw(st.booleans())
+            elif act.required or draw(st.booleans()):
+                values = act.choices or (_INTS if act.type is int else _TEXTS)
+                argv.append(f"{act.option_strings[0]}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+@example(["--max-n", "5", "compute", "quantize", "--n=3", "--poly=" + _TEXTS[-2]])
+@example(["--max-n", "5", "compute", "quantize", "--n=3", "--poly=" + _TEXTS[-1]])
+@example(["--max-n", "5", "compute", "qschubert", "--w=321", "--n="])
+def test_exit_code_contract(argv):
+    # whatever the input: exit 0, 1 or 2, never a traceback, and exit 2
+    # exactly when stderr starts with "error:"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert (code == 2) == err.getvalue().startswith("error:"), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
 
 
 @settings(max_examples=25, deadline=None)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import qschub.poly as poly_module
 from qschub.classical import complete_sym
 from qschub.errors import (
+    CompositionOutOfBox,
     ExponentOverflow,
     NonSquare,
     ParseError,
@@ -21,6 +22,7 @@ from qschub.errors import (
 from qschub.poly import (
     A,
     MAX_INDEX,
+    MAX_NESTING,
     MAX_POWER_BITS,
     ONE,
     Poly,
@@ -93,6 +95,9 @@ def test_exponent_cap():
             parse(text)
     with pytest.raises(ExponentOverflow):
         monomial([(X, 1, 100), (X, 1, 28)])
+    # a negative exponent is refused as q_monomial refuses it
+    with pytest.raises(CompositionOutOfBox):
+        monomial([(X, 1, 2), (X, 2, -1)])
     # a power whose coefficients could pass MAX_POWER_BITS fails before it is built
     assert len(parse("(x1 + 1)^127")) == 128
     assert parse("(2^127)^32") == Poly.const(2 ** (127 * 32))
@@ -162,6 +167,15 @@ def test_parse_grammar():
     assert parse("2*(x1 + y2)^2 - q1") == 2 * (x(1) + y(2)) ** 2 - q(1)
     assert parse("x2 - x2") == ZERO
     assert parse("2 x1 y1") == 2 * x(1) * y(1)  # juxtaposition multiplies
+    # a unary minus applies to its atom before the power; a long chain of them is
+    # one sign, and parentheses nest up to MAX_NESTING deep
+    assert parse("x2*-x1^2") == x(2) * x(1) ** 2
+    assert parse("x2*" + "-" * 1000 + "x1") == x(2) * x(1)
+    assert parse("-" * 999 + "x1") == -x(1)
+    assert parse("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == x(1)
+    for deep in (MAX_NESTING + 1, 300, 5000):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("(" * deep + "x1" + ")" * deep)
     # a digit int() refuses and a literal past CPython's digit limit included
     for bad in ("x", "x0", "1 +", "x1^x2", "(x1", "z1", "x1)", "x1\u00b2", "9" * 5000):
         with pytest.raises(ParseError):

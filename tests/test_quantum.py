@@ -26,11 +26,11 @@ from qschub.poly import (
     X,
     Y,
     ZERO,
-    _bytes,
     _family_mask,
     _join,
     _names,
     jacobi_trudi,
+    monomial,
     parse,
     q,
     x,
@@ -102,12 +102,14 @@ def test_top_cell_product():
 def test_top_cell_slices_make_up_the_product():
     # Delta_1 = x1 + y_{n-1} times the grouped tail Delta_2 ... Delta_{n-1}
     # rebuilds prod Delta_i; the tail has one entry per choice of a term in
-    # each of its factors
+    # each of its factors, keyed by the exponents (a_1, ..., a_{n-2}) of its
+    # y^a: exactly the first n - 2 entries of the codes of S_n
     for n in range(2, 7):
         tail = quantum._top_cell_tail(n)
         assert len(tail) == math.factorial(n) // 2
+        assert set(tail) == {perms.code(u)[:-2] for u in perms.permutations(n)}
         if n <= 5:
-            rest = Poly.sum(Poly({t: 1}) * p for t, p in tail.items())
+            rest = Poly.sum(_y_monomial(a) * p for a, p in tail.items())
             assert (x(1) + y(n - 1)) * rest == quantum.q_w0_double(n)
 
 
@@ -135,27 +137,34 @@ def _y_chain(f, v):
     return _y_chain(f.divided_diff(d[0], Y), perms.times_s(v, d[0])) if d else f
 
 
+def _y_monomial(a):
+    return monomial([(Y, j, e) for j, e in enumerate(a, 1)])
+
+
 @cache
 def _top_cell_by_y(n):
-    """The terms of S~_{w_0}(x, y) grouped by their y-part: {y^c: P_c} with
-    y^c as its packed monomial.  Built from the whole product, not from the
+    """The terms of S~_{w_0}(x, y) grouped by their y-part: {a: P_a} for each
+    y^a, a = (a_1, ..., a_{n-1}).  Built from the whole product, not from the
     tail quantum._q_schubert reads."""
     groups: dict = {}
     for m, k in quantum.q_w0_double(n).terms.items():
         c = m & _family_mask(Y, m)
         groups.setdefault(c, {})[m - c] = k
-    return {c: Poly(t) for c, t in groups.items()}
+    return {
+        tuple(Poly({c: 1}).degree_in(Y, j) for j in range(1, n)): Poly(t)
+        for c, t in groups.items()
+    }
 
 
 def _q_double_by_chains(w):
-    # S~_w(x, y) = d^y_v S~_{w0}(x, y), v = w w0, run on each y^c of the
-    # grouped top cell: sum_c d^y_v(y^c) P_c over the y^c of degree >= l(v)
+    # S~_w(x, y) = d^y_v S~_{w0}(x, y), v = w w0, run on each y^a of the
+    # grouped top cell: sum_a d^y_v(y^a) P_a over the y^a of degree >= l(v)
     n = len(w)
     v = perms.compose(w, perms.longest(n))
     return Poly.sum(
-        _y_chain(Poly({c: 1}), v) * p
-        for c, p in _top_cell_by_y(n).items()
-        if sum(_bytes(c)) >= perms.length(v)
+        _y_chain(_y_monomial(a), v) * p
+        for a, p in _top_cell_by_y(n).items()
+        if sum(a) >= perms.length(v)
     )
 
 
@@ -186,15 +195,15 @@ def test_q_double_matches_y_chains_s6():
 
 def test_q_schubert_matches_slices():
     # y = 0 keeps the y-degree-l(v) slice of the grouped top cell:
-    # S~_w = sum_c k_c P_c, k_c the coefficient of S_v in y^c, v = w w0
+    # S~_w = sum_a k_a P_a, k_a the coefficient of S_v in y^a, v = w w0
     for n in range(1, 7):
         for w in perms.permutations(n):
             v = perms.compose(w, perms.longest(n))
             table = classical._monomial_expansions(n, perms.length(v))
             slice_sum = Poly.combination(
                 (k, p)
-                for c, p in _top_cell_by_y(n).items()
-                if c in table and (k := table[c].get(v))
+                for a, p in _top_cell_by_y(n).items()
+                if a in table and (k := table[a].get(v))
             )
             assert quantum.q_schubert(w) == slice_sum, w
 
