@@ -7,16 +7,23 @@ S_w(x, y) = sum S_u(x) S_v(y) over the pairs of perms.weak_factorizations(w)
 (v = u w^-1, l(u) + l(v) = l(w)), which equal the y-divided differences of
 prod_{i+j<=n} (x_i + y_j) with d_i^(y) S_w = S_{s_i w}.  Both are stable
 under adding trailing fixed points, and are computed at the minimal rank of w.
+
+Expansion in the Schubert basis uses no polynomial arithmetic: x^a is built
+one factor x_i at a time from 1 = S_id, and Monk's rule (_monk) multiplies a
+combination of S_w by x_i in the basis itself.  The one routine
+(_expand_exponents) serves both schubert_expand and the table of staircase
+monomials that quantum._q_schubert reads.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
 from . import perms
-from ._kernels import padd, pdivdiff
+from ._kernels import padd
 from .errors import ForeignVariables
-from .poly import Poly, X, Y, jacobi_trudi, monomial, vcode
+from .poly import Poly, X, Y, jacobi_trudi, monomial
 
 Perm = perms.Perm
 
@@ -44,21 +51,14 @@ def _single_layer(n: int, length: int) -> dict:
 @cache
 def _monomial_expansions(n: int, length: int) -> dict:
     """Every monomial under the rank-n staircase of degree `length` in the
-    Schubert basis, keyed by its exponents a = (a_1, ..., a_{n-1}):
-    {a: {w: c}} with x^a = sum c S_w over the w in S_n of that length.
-
-    The leader of S_w (Poly.leading_term) is x^code(w) with coefficient 1
-    (Macdonald, Notes on Schubert Polynomials, 1991), and the codes of S_n
-    less their last 0 are the exponents under the staircase, so each
-    expansion is one triangular reduction with no divided differences.
-    """
-    layer = _single_layer(n, length)
-    lead = {f.leading_term()[0]: (w, f) for w, f in layer.items()}
-    out = {}
-    for u in layer:
-        a = perms.code(u)[:-1]
-        out[a] = monomial([(X, i, e) for i, e in enumerate(a, 1)]).triangular_expand(lead)
-    return out
+    Schubert basis, keyed by its exponents a = (a_1, ..., a_{n-1}), a code
+    of S_n less its last 0: {a: {w: c}} with x^a = sum c S_w, each w trimmed
+    (_expand_exponents; the rows are shared, so never mutate them)."""
+    return {
+        a: _expand_exponents(_trim_zeros(a))
+        for a in product(*(range(n - i + 1) for i in range(1, n)))
+        if sum(a) == length
+    }
 
 
 def schubert(w: Perm) -> Poly:
@@ -122,61 +122,81 @@ def schur(lam, r: int) -> Poly:
 def implied_rank(f: Poly) -> int:
     """The smallest N whose S_N Schubert polynomials span f: the largest
     i + e over the factors x_i^e of its terms (0 for a constant)."""
-    # an index that does not occur adds i + 0, below the largest index's
-    # own i + e, so it never gives the maximum
-    return max((i + f.degree_in(X, i) for i in range(1, f.max_index(X) + 1)), default=0)
+    # an index that does not occur adds i + 0, below the last index's i + e
+    return max((i + e for a, _ in f.exponent_terms(X) for i, e in enumerate(a, 1)), default=0)
 
 
 def schubert_expand(f: Poly) -> dict:
     """Coefficients c_w of f = sum c_w S_w (finite; exact integers).
 
     Only x variables are allowed.  The expansion is linear, so it is the sum
-    of c times the expansion of x^m over the terms c x^m of f.  Each monomial
-    is expanded once per process (_expand_monomial) and summed into a fresh
+    of c times the expansion of x^a over the terms c x^a of f.  Each monomial
+    is expanded once per process (_expand_exponents) and summed into a fresh
     dict, so the caller owns what it gets and the memo is never handed out.
     """
     bad = [(fam, idx) for fam, idx in f.variables() if fam != X]
     if bad:
         raise ForeignVariables(f"Schubert expansion needs x variables only, found {bad}")
     out: dict = {}
-    for m, c in f.terms.items():
-        padd(out, _expand_monomial(m), c)
+    for a, c in f.exponent_terms(X):
+        padd(out, _expand_exponents(a), c)
     return out
+
+
+def _trim_zeros(a: tuple[int, ...]) -> tuple[int, ...]:
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
 
 
 @cache
-def _expand_monomial(m: int) -> dict:
-    """{w: c} with x^m = sum c S_w, for the packed x-monomial m; shared, so
-    never mutate or return it.
+def _expand_exponents(a: tuple[int, ...]) -> dict:
+    """{w: c} with x^a = sum c S_w, each w trimmed, for exponents a with no
+    trailing zero; shared, so never mutate or return it.
 
-    c_w is the constant term of d_w x^m; the walk shares prefixes across the
-    weak order and prunes zero images.  It runs in S_N for N the monomial's
-    implied_rank: its exponent vector a has a_i <= N - i, those monomials
-    span the same space as the S_w with w in S_N, so d_w x^m = 0 for every w
-    outside S_N, and each d_i keeps that span.  A node w is keyed by w^-1,
-    the positions of its values: the step to s_i w goes up exactly when value
-    i sits left of value i+1, and it swaps those two entries of w^-1, one
-    lookup and one swap per step.  Nodes are kernel dicts, with the variable
-    codes of x_1..x_N looked up once.
+    x^a = x_i x^b for i = len(a) and b = a with a_i lowered by one, so Monk's
+    rule (_monk) carries the expansion of x^b to that of x^a, and the memo
+    shares the prefixes of every monomial it has seen.
     """
-    n = max(implied_rank(Poly({m: 1})), 1)
-    codes = [vcode(X, i) for i in range(1, n + 1)]
-    out = {}
-    layer = {perms.identity(n): {m: 1}}
-    while layer:
-        nxt: dict = {}
-        for pos, g in layer.items():
-            c = g.get(0)
-            if c:
-                out[perms.trim(perms.inverse(pos))] = c
-            for i in range(1, n):
-                if pos[i - 1] > pos[i]:  # value i right of i+1: s_i w is shorter
-                    continue
-                v = pos[: i - 1] + (pos[i], pos[i - 1]) + pos[i + 1 :]
-                if v in nxt:
-                    continue
-                h = pdivdiff(g, codes[i - 1], codes[i])
-                if h:
-                    nxt[v] = h
-        layer = nxt
+    if not a:
+        return {(1,): 1}
+    i = len(a)
+    out: dict = {}
+    for w, c in _expand_exponents(_trim_zeros(a[:-1] + (a[-1] - 1,))).items():
+        _monk(w, i, c, out)
     return out
+
+
+def _monk(w: Perm, i: int, c: int, out: dict) -> None:
+    """Add c * x_i * S_w into out, a {trimmed w: coefficient} dict, by Monk's
+    rule: x_i S_w = sum_{k>i} S_{w t_ik} - sum_{j<i} S_{w t_ji} over the
+    transpositions that raise the length by exactly one, those whose two
+    positions hold no value between theirs in between.  w is first padded
+    with fixed points to rank max(len(w), i) + 1: a swap of position i with a
+    position past that rank would jump over the value at its end.
+    """
+    n = max(len(w), i) + 1
+    w = w + tuple(range(len(w) + 1, n + 1))
+    u = w[i - 1]
+    swaps = []
+    # scanning away from position i, a swap is a cover while its value is the
+    # closest to u (on its side) seen so far
+    top = n + 1
+    for k in range(i, n):
+        if u < w[k] < top:
+            top = w[k]
+            swaps.append((k, c))
+    bottom = 0
+    for j in range(i - 2, -1, -1):
+        if bottom < w[j] < u:
+            bottom = w[j]
+            swaps.append((j, -c))
+    for k, s in swaps:
+        v = list(w)
+        v[i - 1], v[k] = v[k], u
+        v = perms.trim(tuple(v))
+        s += out.get(v, 0)
+        if s:
+            out[v] = s
+        else:
+            del out[v]

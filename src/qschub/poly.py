@@ -186,58 +186,13 @@ class Poly:
         """Sorted list of (family, index) pairs occurring in the polynomial."""
         return sorted(vsplit(k) for k in _codes(reduce(or_, self._terms, 0)))
 
-    def max_index(self, family: int) -> int:
-        """The largest index of the family occurring in the polynomial (0 if
-        none): the top set byte of the family's bytes in the OR of the
-        monomials, found with no sort."""
-        width = reduce(or_, self._terms, 0)
-        top = width & _family_mask(family, width)
-        return vsplit((top.bit_length() - 1) // WIDTH)[1] if top else 0
-
-    def leading_term(self) -> tuple[int, int]:
-        """(m, c): the largest monomial m, as an int, and its coefficient c
-        ((0, 0) for zero).
-
-        Ints order monomials by the exponent of the highest code first, so in
-        one family the highest index decides: x2 > x1^5, and among
-        polynomials in x alone the leader of S_w is x^code(w).  m is an
-        opaque key: monomials are equal exactly when their keys are.
-        """
-        if not self._terms:
-            return 0, 0
-        m = max(self._terms)
-        return m, self._terms[m]
-
-    def triangular_expand(self, lead: Mapping[int, tuple[object, "Poly"]]) -> dict:
-        """{label: c} with self = sum c * p over a unitriangular family.
-
-        lead maps the leading monomial (leading_term) of each element p to
-        (label, p), and each p must lead there with coefficient 1.  Every
-        step takes the largest monomial left, records its coefficient for the
-        element leading there and subtracts that multiple in place, so the
-        steps number the nonzero coefficients.  AssertionError when no element
-        leads with a monomial that is left, or one leads with a coefficient
-        other than 1: the family is not unitriangular over this span.
-        """
-        rest = dict(self._terms)
-        out = {}
-        while rest:
-            m = max(rest)
-            c = rest[m]
-            try:
-                label, p = lead[m]
-            except KeyError:
-                raise AssertionError("no element leads with a monomial left") from None
-            out[label] = c
-            padd(rest, p._terms, -c)
-            if m in rest:
-                raise AssertionError("an element leads with a coefficient other than 1")
-        return out
-
-    def degree_in(self, family: int, index: int) -> int:
-        """The largest exponent of one variable (0 if it does not occur)."""
-        shift = WIDTH * vcode(family, index)
-        return max(((m >> shift) & FIELD for m in self._terms), default=0)
+    def exponent_terms(self, family: int) -> list[tuple[tuple[int, ...], int]]:
+        """(a, c) per term: a = (a_1, a_2, ...) holds the exponents of the
+        family's variables in the term, without trailing zeros (() when none
+        occurs), and c is its coefficient.  Other families are left out."""
+        return [
+            (tuple(_bytes(m)[family::_NFAM].rstrip(b"\0")), c) for m, c in self._terms.items()
+        ]
 
     # -- specialization ----------------------------------------------------
 

@@ -11,11 +11,12 @@ The y divided differences never touch x or q, so with the top polynomial
 written as sum_a y^a P_a(x, q) (grouped by y-monomial) S~_w(x) =
 sum_a d^y_v(y^a) P_a over the y^a of degree exactly l(v), where each
 d^y_v(y^a) is an integer: the coefficient of S_v in the monomial y^a, read
-from a table of classical expansions (classical._monomial_expansions) with no
-chain at all.  Each factor has a y variable of its own, so y^a picks one term
-of every factor and P_a = prod_i e~_{i-a_{n-i}}(X_i).  Both are keyed by the
-exponents a = (a_1, ..., a_{n-1}), a Lehmer code of S_n less its last 0.  The
-n! products P_a are never built: only the tail Delta_2 ... Delta_{n-1} is
+from a table of classical expansions built by Monk's rule
+(classical._monomial_expansions) with no chain at all.  Each factor has a y
+variable of its own, so y^a picks one term of every factor and
+P_a = prod_i e~_{i-a_{n-i}}(X_i).  Both are keyed by the exponents
+a = (a_1, ..., a_{n-1}), a Lehmer code of S_n less its last 0.  The n!
+products P_a are never built: only the tail Delta_2 ... Delta_{n-1} is
 kept, keyed by (a_1, ..., a_{n-2}) (n!/2 entries), and since
 Delta_1(y_{n-1}|X_1) = x_1 + y_{n-1} the sum is x_1 * (the sum over the a with
 a_{n-1} = 0) + (the sum over a_{n-1} = 1), each term a tail entry.  (A tail
@@ -223,8 +224,9 @@ def _q_schubert(w: Perm) -> Poly:
     # Delta_1(y_{n-1}|X_1) = e~_1(X_1) + y_{n-1}: a y^a with a_{n-1} = 0 took
     # e~_1(X_1) from it, one with a_{n-1} = 1 took 1
     with_e1, without = [], []
+    key = perms.trim(v)
     for a, coeffs in classical._monomial_expansions(n, perms.length(v)).items():
-        if k := coeffs.get(v):
+        if k := coeffs.get(key):
             (with_e1, without)[a[-1]].append((k, tail[a[:-1]]))
     return Poly.combination([(1, q_elementary(1, 1) * Poly.combination(with_e1)), *without])
 

@@ -141,21 +141,43 @@ def _code_monomial(w):
     return monomial([(X, i, e) for i, e in enumerate(perms.code(w), 1)])
 
 
+def _walk(f):
+    """{w: c} with f = sum c S_w by the definition: c_w is the constant term
+    of d_w f.  Walks up the weak order of S_N, N = implied_rank(f), keyed by
+    w^-1 (s_i w is longer when value i sits left of value i+1), and prunes
+    zero images."""
+    n = max(classical.implied_rank(f), 1)
+    out, layer = {}, {perms.identity(n): f}
+    while layer:
+        nxt = {}
+        for pos, g in layer.items():
+            if c := g.terms.get(0):
+                out[perms.trim(perms.inverse(pos))] = c
+            for i in range(1, n):
+                v = perms.times_s(pos, i)
+                if pos[i - 1] < pos[i] and v not in nxt and (h := g.divided_diff(i)):
+                    nxt[v] = h
+        layer = nxt
+    return out
+
+
 def test_schubert_leaders_are_the_codes():
-    # S_w leads with x^code(w), coefficient 1: n! distinct leaders in S_n
+    # S_w leads with x^code(w), coefficient 1, in the order where the highest
+    # index decides (x2 > x1^5): n! distinct leaders in S_n
     for n in range(1, 7):
         leaders = set()
         for w in perms.permutations(n):
-            m, c = classical.schubert(w).leading_term()
-            assert (m, c) == (_code_monomial(w).leading_term()[0], 1), w
-            leaders.add(m)
+            terms = classical.schubert(w).exponent_terms(X)
+            a, c = max(terms, key=lambda t: (t[0] + (0,) * n)[n - 1 :: -1])
+            assert (a + (0,) * n)[:n] == perms.code(w) and c == 1, w
+            leaders.add(a)
         assert len(leaders) == math.factorial(n)
 
 
 def test_monomial_expansions_match_the_walk():
-    # the triangular table and the weak-order walk of schubert_expand agree on
-    # every monomial under the staircase of S_<=5, and the sums rebuild it;
-    # the table is keyed by the exponents, a code less its last 0
+    # Monk's rule and the divided-difference walk agree on every monomial
+    # under the staircase of S_<=5, and the sums rebuild it; the table is
+    # keyed by the exponents, a code less its last 0
     for n in range(1, 6):
         for length in range(n * (n - 1) // 2 + 1):
             table = classical._monomial_expansions(n, length)
@@ -165,10 +187,26 @@ def test_monomial_expansions_match_the_walk():
                 got = table[perms.code(u)[:-1]]
                 xa = _code_monomial(u)
                 assert all(perms.length(w) == length for w in got)
-                assert {perms.trim(w): c for w, c in got.items()} == classical.schubert_expand(xa)
+                assert got == _walk(xa)
                 assert Poly.sum(c * classical.schubert(w) for w, c in got.items()) == xa
-    # x2 = S_132 - S_213
-    assert classical._monomial_expansions(3, 1)[(0, 1)] == {(1, 3, 2): 1, (2, 1, 3): -1}
+    # x2 = S_132 - S_21
+    assert classical._monomial_expansions(3, 1)[(0, 1)] == {(1, 3, 2): 1, (2, 1): -1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.integers(1, 8), st.integers(1, 8), min_size=1, max_size=3))
+def test_expand_exponents_matches_the_walk(exps):
+    # random monomials of implied rank <= 9, not only those under a staircase
+    f = monomial([(X, i, min(e, 9 - i)) for i, e in exps.items()])
+    ((a, _),) = f.exponent_terms(X)
+    assert classical._expand_exponents(a) == _walk(f)
+
+
+def test_schubert_expand_of_powers():
+    # x1^e = S_w for the dominant w of code (e): rank e + 1, one term, with
+    # no walk through the weak order of S_{e+1}
+    for e in (40, 127):
+        assert classical.schubert_expand(x(1) ** e) == {(e + 1,) + tuple(range(1, e + 1)): 1}
 
 
 # the exponent vectors under the rank-5 staircase are the codes of S_5
@@ -203,3 +241,4 @@ def test_implied_rank():
     assert classical.implied_rank(x(2)) == 3
     assert classical.implied_rank(x(1) ** 12) == 13
     assert classical.implied_rank(parse("x1^2*x2 + x3")) == 4
+    assert classical.implied_rank(x(1) ** 127) == 128

@@ -203,6 +203,11 @@ def test_parse_error_exit(capsys):
     assert "error" in err
     code, _, err = run(capsys, "compute", "qschubert", "--w", "1325")
     assert code == 2
+    # --n bounds the rank of a classical S_w as it does a quantum one
+    for what in ("schubert", "qschubert"):
+        code, out, err = run(capsys, "compute", what, "--w", "21", "--n", "1")
+        assert (code, out) == (2, "")
+        assert "does not fit in rank 1" in err
     # a negative exponent is out of the staircase, not a zero row
     code, out, err = run(capsys, "compute", "qmonomial", "--alpha", "1,-1", "--n", "3")
     assert (code, out) == (2, "")

@@ -340,34 +340,20 @@ def test_parse_frees_its_state():
         gc.enable()
 
 
-def test_max_index_and_degree_in():
+def test_exponent_terms():
+    # x alone: one tuple per term, no trailing zeros
+    assert parse("x1^2*x3 - 3*x2").exponent_terms(X) == [((2, 0, 1), 1), ((0, 1), -3)]
+    # mixed families: each term keeps only the asked family's exponents
     p = parse("x1^2*x3 + 4*y5*x1 - q2^3")
-    assert [p.max_index(f) for f in (X, Y, Q, A)] == [3, 5, 2, 0]
-    assert [p.degree_in(X, i) for i in (1, 2, 3, 4)] == [2, 0, 1, 0]
-    assert p.degree_in(Q, 2) == 3
-    assert ZERO.max_index(X) == ONE.max_index(X) == ONE.degree_in(X, 1) == 0
-    assert x(MAX_INDEX).max_index(X) == MAX_INDEX
-    assert a(MAX_INDEX).max_index(A) == MAX_INDEX
-    assert (x(1) ** 127).degree_in(X, 1) == 127
-
-
-def test_leading_term():
-    # the highest index decides, whatever the lower exponents
-    assert parse("x1^5 + 3*x2").leading_term() == (x(2).leading_term()[0], 3)
-    assert parse("x1^2*x2 + x1*x2^2").leading_term()[0] == (x(1) * x(2) ** 2).leading_term()[0]
-    assert ZERO.leading_term() == (0, 0)
-    assert ONE.leading_term() == (0, 1)
-
-
-def test_triangular_expand():
-    # the family x1, x1 + x2 leads with x1 and x2
-    lead = {b.leading_term()[0]: (name, b) for name, b in (("b1", x(1)), ("b2", x(1) + x(2)))}
-    assert (3 * x(2) - x(1)).triangular_expand(lead) == {"b2": 3, "b1": -4}
-    assert ZERO.triangular_expand(lead) == {}
-    with pytest.raises(AssertionError, match="no element"):
-        (x(3) + x(1)).triangular_expand(lead)
-    with pytest.raises(AssertionError, match="coefficient other than 1"):
-        x(1).triangular_expand({x(1).leading_term()[0]: ("b", 2 * x(1))})
+    assert sorted(p.exponent_terms(X)) == [((), -1), ((1,), 4), ((2, 0, 1), 1)]
+    assert sorted(p.exponent_terms(Y)) == [((), -1), ((), 1), ((0, 0, 0, 0, 1), 4)]
+    assert p.exponent_terms(Q) == [((), 1), ((), 4), ((0, 3), -1)]
+    assert (x(MAX_INDEX) * a(2)).exponent_terms(X) == [((0,) * (MAX_INDEX - 1) + (1,), 1)]
+    assert (x(1) ** 127).exponent_terms(X) == [((127,), 1)]
+    # a constant and zero
+    assert Poly.const(-5).exponent_terms(X) == [((), -5)]
+    assert ONE.exponent_terms(A) == [((), 1)]
+    assert ZERO.exponent_terms(X) == []
 
 
 def test_combination():
