@@ -51,14 +51,17 @@ def _single_layer(n: int, length: int) -> dict:
 @cache
 def _monomial_expansions(n: int, length: int) -> dict:
     """Every monomial under the rank-n staircase of degree `length` in the
-    Schubert basis, keyed by its exponents a = (a_1, ..., a_{n-1}), a code
-    of S_n less its last 0: {a: {w: c}} with x^a = sum c S_w, each w trimmed
-    (_expand_exponents; the rows are shared, so never mutate them)."""
-    return {
-        a: _expand_exponents(_trim_zeros(a))
-        for a in product(*(range(n - i + 1) for i in range(1, n)))
-        if sum(a) == length
-    }
+    Schubert basis, read by Schubert polynomial: {w: [(a, c)]} with c the
+    coefficient of S_w in x^a, each w trimmed and each list in increasing
+    order of a.  The exponents a = (a_1, ..., a_{n-1}) are a code of S_n less
+    its last 0 (_expand_exponents gives each x^a; the lists are shared, so
+    never mutate them)."""
+    out: dict = {}
+    for a in product(*(range(n - i + 1) for i in range(1, n))):
+        if sum(a) == length:
+            for w, c in _expand_exponents(_trim_zeros(a)).items():
+                out.setdefault(w, []).append((a, c))
+    return out
 
 
 def schubert(w: Perm) -> Poly:
@@ -149,22 +152,31 @@ def _trim_zeros(a: tuple[int, ...]) -> tuple[int, ...]:
     return a
 
 
-@cache
+# _expand_exponents' memo: {a: {w: c}}, seeded with x^() = 1 = S_id
+_EXPANSIONS: dict = {(): {(1,): 1}}
+
+
 def _expand_exponents(a: tuple[int, ...]) -> dict:
     """{w: c} with x^a = sum c S_w, each w trimmed, for exponents a with no
     trailing zero; shared, so never mutate or return it.
 
     x^a = x_i x^b for i = len(a) and b = a with a_i lowered by one, so Monk's
     rule (_monk) carries the expansion of x^b to that of x^a, and the memo
-    shares the prefixes of every monomial it has seen.
+    shares the prefixes of every monomial it has seen.  The chain of such b
+    is walked down in a loop to the first one memoized and built back up, so
+    a monomial of any degree takes no recursion.
     """
-    if not a:
-        return {(1,): 1}
-    i = len(a)
-    out: dict = {}
-    for w, c in _expand_exponents(_trim_zeros(a[:-1] + (a[-1] - 1,))).items():
-        _monk(w, i, c, out)
-    return out
+    chain = []
+    while a not in _EXPANSIONS:
+        chain.append(a)
+        a = _trim_zeros(a[:-1] + (a[-1] - 1,))
+    got = _EXPANSIONS[a]
+    for a in reversed(chain):
+        out: dict = {}
+        for w, c in got.items():
+            _monk(w, len(a), c, out)
+        _EXPANSIONS[a] = got = out
+    return got
 
 
 def _monk(w: Perm, i: int, c: int, out: dict) -> None:

@@ -24,7 +24,7 @@ and indices at MAX_INDEX (VariableOutOfRange).
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -429,6 +429,40 @@ def jacobi_trudi(
     lam = tuple(lam) + (0,) * (m - len(lam))
     mu = tuple(mu) + (0,) * (m - len(mu))
     return determinant([[entry(lam[i] - mu[j] - i + j, i, j) for j in range(m)] for i in range(m)])
+
+
+# -- nested sums of products -------------------------------------------------
+
+
+def nested_sum(
+    pairs: Iterable[tuple[tuple[int, ...], int]],
+    factor: Callable[[int, int], Poly],
+    leaf: Callable[[tuple[int, ...]], Poly],
+    depth: int,
+) -> Poly:
+    """The sum of k * factor(0, a_0) * ... * factor(depth - 1, a_{depth-1}) *
+    leaf(a[depth:]) over the (a, k) pairs.
+
+    By the distributive law: the pairs that share a_0 share factor(0, a_0),
+    which multiplies the sum of the rest of their products once, and that sum
+    is grouped on a_1 the same way, down to the leaves.  Each level multiplies
+    in place into one accumulator (pmul).  Only adjacent pairs are grouped, so
+    the pairs should come in increasing order of a; any order gives the same
+    sum, with more products.
+    """
+    # the copy compacts the slots that cancellations left in the accumulator
+    return Poly(dict(_nested(pairs, 0, factor, leaf, depth)))
+
+
+def _nested(pairs, j: int, factor, leaf, depth: int) -> dict:
+    acc: dict = {}
+    if j == depth:
+        for a, k in pairs:
+            padd(acc, leaf(a[j:])._terms, k)
+        return acc
+    for d, group in groupby(pairs, lambda pair: pair[0][j]):
+        pmul(factor(j, d)._terms, _nested(group, j + 1, factor, leaf, depth), acc)
+    return acc
 
 
 # -- parsing -----------------------------------------------------------------

@@ -174,23 +174,37 @@ def test_schubert_leaders_are_the_codes():
         assert len(leaders) == math.factorial(n)
 
 
+def _table_rows(n, length):
+    """classical._monomial_expansions(n, length) read by monomial: {a: {w: c}}."""
+    rows: dict = {}
+    for w, pairs in classical._monomial_expansions(n, length).items():
+        assert [a for a, _ in pairs] == sorted(a for a, _ in pairs), w
+        for a, c in pairs:
+            rows.setdefault(a, {})[w] = c
+    return rows
+
+
 def test_monomial_expansions_match_the_walk():
     # Monk's rule and the divided-difference walk agree on every monomial
     # under the staircase of S_<=5, and the sums rebuild it; the table is
-    # keyed by the exponents, a code less its last 0
+    # keyed by the trimmed w, and lists the exponents (a code less its last
+    # 0) in increasing order
     for n in range(1, 6):
         for length in range(n * (n - 1) // 2 + 1):
-            table = classical._monomial_expansions(n, length)
+            rows = _table_rows(n, length)
             layer = [u for u in perms.permutations(n) if perms.length(u) == length]
-            assert len(table) == len(layer)
+            assert len(rows) == len(layer)
             for u in layer:
-                got = table[perms.code(u)[:-1]]
+                got = rows[perms.code(u)[:-1]]
                 xa = _code_monomial(u)
                 assert all(perms.length(w) == length for w in got)
                 assert got == _walk(xa)
                 assert Poly.sum(c * classical.schubert(w) for w, c in got.items()) == xa
-    # x2 = S_132 - S_21
-    assert classical._monomial_expansions(3, 1)[(0, 1)] == {(1, 3, 2): 1, (2, 1): -1}
+    # x1 = S_21 and x2 = S_132 - S_21
+    assert classical._monomial_expansions(3, 1) == {
+        (1, 3, 2): [((0, 1), 1)],
+        (2, 1): [((0, 1), -1), ((1, 0), 1)],
+    }
 
 
 @settings(max_examples=30, deadline=None)
@@ -203,10 +217,15 @@ def test_expand_exponents_matches_the_walk(exps):
 
 
 def test_schubert_expand_of_powers():
-    # x1^e = S_w for the dominant w of code (e): rank e + 1, one term, with
-    # no walk through the weak order of S_{e+1}
-    for e in (40, 127):
-        assert classical.schubert_expand(x(1) ** e) == {(e + 1,) + tuple(range(1, e + 1)): 1}
+    # x^a = S_w for the dominant w of code a (a partition): one term, with no
+    # walk through the weak order.  x1^127 ... x8^127 has degree 1,016 and w
+    # is in S_135; the chain of a's prefixes is walked in a loop, with no
+    # frame per degree
+    for a in ((40,), (127,), (127,) * 8):
+        f = monomial([(X, i, e) for i, e in enumerate(a, 1)])
+        w = perms.from_code(a + (0,) * a[0])
+        assert classical.schubert_expand(f) == {w: 1}
+    assert len(w) == 135 and perms.length(w) == 1016
 
 
 # the exponent vectors under the rank-5 staircase are the codes of S_5
@@ -230,8 +249,7 @@ def test_schubert_expand_of_a_combination(terms):
     assert Poly.sum(c * classical.schubert(w) for w, c in got.items()) == f
     want: dict = {}
     for a, c in terms.items():
-        for w, k in classical._monomial_expansions(5, sum(a))[a[:-1]].items():
-            w = perms.trim(w)
+        for w, k in _table_rows(5, sum(a))[a[:-1]].items():
             want[w] = want.get(w, 0) + c * k
     assert got == {w: c for w, c in want.items() if c}
 

@@ -3,7 +3,6 @@ determinants, quantization, and stable approximants."""
 
 from __future__ import annotations
 
-import math
 import time
 from functools import cache
 
@@ -29,6 +28,7 @@ from qschub.poly import (
     _family_mask,
     _join,
     _names,
+    determinant,
     jacobi_trudi,
     monomial,
     parse,
@@ -56,6 +56,23 @@ def test_generating_factors():
     # delta factors: Delta_k(t | X_k) = sum_i e~_i(X_k) t^{k-i}
     t = y(1)
     assert quantum.delta(2, t) == parse("x1*x2 + q1 + (x1 + x2)*y1 + y1^2")
+
+
+def test_elementary_is_the_tridiagonal_determinant():
+    # FGP's definition: det(t I + G_r) = sum_k e~_k(X_r) t^{r-k}, with x_1..x_r
+    # on the diagonal of G_r, q_1..q_{r-1} above it and -1 below it; the
+    # determinant writes every q itself, where e~ takes them from its
+    # recurrence.  t = y1 occurs in no entry of G_r
+    t = y(1)
+    for r in range(9):
+        rows = [
+            [
+                x(i + 1) + t if j == i else q(i + 1) if j == i + 1 else -ONE if j == i - 1 else ZERO
+                for j in range(r)
+            ]
+            for i in range(r)
+        ]
+        assert determinant(rows) == quantum.delta(r, t), r
 
 
 def test_degeneration_to_classical_factors():
@@ -100,17 +117,22 @@ def test_top_cell_product():
 
 
 def test_top_cell_slices_make_up_the_product():
-    # Delta_1 = x1 + y_{n-1} times the grouped tail Delta_2 ... Delta_{n-1}
-    # rebuilds prod Delta_i; the tail has one entry per choice of a term in
-    # each of its factors, keyed by the exponents (a_1, ..., a_{n-2}) of its
-    # y^a: exactly the first n - 2 entries of the codes of S_n
-    for n in range(2, 7):
-        tail = quantum._top_cell_tail(n)
-        assert len(tail) == math.factorial(n) // 2
-        assert set(tail) == {perms.code(u)[:-2] for u in perms.permutations(n)}
-        if n <= 5:
-            rest = Poly.sum(_y_monomial(a) * p for a, p in tail.items())
-            assert (x(1) + y(n - 1)) * rest == quantum.q_w0_double(n)
+    # each y^a of prod Delta_i picks one term of every factor, so its
+    # coefficient P_a is the outer factors e~_{i-a_{n-i}}(X_i), i >= 4, times
+    # the inner product of the three factors below X_4; a rank below 4 takes
+    # e~_0 = 1 at the alphabets it lacks.  The inner memo has one entry per
+    # exponent triple, whatever the rank
+    for n in range(2, 6):
+        pad = (3, 2)[: max(4 - n, 0)]
+        rebuilt = {}
+        for u in perms.permutations(n):
+            a = perms.code(u)[:-1]
+            outer = Poly.const(1)
+            for i in range(4, n):
+                outer = outer * quantum.q_elementary(i - a[n - 1 - i], i)
+            rebuilt[a] = outer * quantum._inner((pad + a)[-3:])
+        assert rebuilt == _top_cell_by_y(n), n
+    assert quantum._inner.cache_info().currsize == 24
 
 
 def test_rank_embedding_consistency():
@@ -145,7 +167,7 @@ def _y_monomial(a):
 def _top_cell_by_y(n):
     """The terms of S~_{w_0}(x, y) grouped by their y-part: {a: P_a} for each
     y^a, a = (a_1, ..., a_{n-1}).  Built from the whole product, not from the
-    tail quantum._q_schubert reads."""
+    nested sums quantum._q_schubert evaluates."""
     groups: dict = {}
     for m, k in quantum.q_w0_double(n).terms.items():
         c = m & _family_mask(Y, m)
@@ -199,12 +221,8 @@ def test_q_schubert_matches_slices():
     for n in range(1, 7):
         for w in perms.permutations(n):
             v = perms.compose(w, perms.longest(n))
-            table = classical._monomial_expansions(n, perms.length(v))
-            slice_sum = Poly.combination(
-                (k, p)
-                for a, p in _top_cell_by_y(n).items()
-                if a in table and (k := table[a].get(perms.trim(v)))
-            )
+            pairs = classical._monomial_expansions(n, perms.length(v))[perms.trim(v)]
+            slice_sum = Poly.combination((k, _top_cell_by_y(n)[a]) for a, k in pairs)
             assert quantum.q_schubert(w) == slice_sum, w
 
 
