@@ -43,21 +43,24 @@ column down to the smallest alphabet they can reach, so the value is the same
 and the entries are smaller.  The h~ table q_complete stays on the direct form
 (see there).
 
-Memo policy.  Every functools.cache here is keyed on normalized arguments,
-holds read-only values (a memoized Poly also keeps its default text(), so a
-repeated request skips the render) and descends from e~, so each one is
-listed in _E_MEMOS, which set_elementary_override clears.  The public
-functions run every check before the memo, so a refused input never enters
-it.  q_schur and q_monomial keep results only up to the desk-scale rank
-DEFAULT_MAX_N and build afresh above it: the default identity sweep calls
-q_schur at ranks 7-8 with no repeats, so keeping those would only hold memory.
-q_flagged is not memoized: keeping its results raised the default sweep's peak
-memory by about 1.5 MiB (8%).
+Memo policy.  Every memo here is keyed on normalized arguments, holds
+read-only values (a memoized Poly also keeps its default text(), so a repeated
+request skips the render) and descends from e~, so each one is listed in
+_E_MEMOS, which set_elementary_override clears.  The public functions run
+every check before the memo, so a refused input never enters it.  q_schur and
+q_monomial keep results only up to the desk-scale rank DEFAULT_MAX_N and build
+afresh above it: the default identity sweep calls q_schur at ranks 7-8 with no
+repeats, so keeping those would only hold memory.
+q_flagged keeps only its last determinant (functools.lru_cache of size 1):
+suite_vexillary asks for the same one twice in a row for every dominant w, as
+rv-double and then as dominant-double, so the memo depends on that order.
+Keeping every result raised the default sweep's peak memory by about 1.5 MiB
+(8%).
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 from . import classical, perms
@@ -290,6 +293,39 @@ def _q_monomial(alpha: tuple[int, ...], n: int) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_complete(d, i + 1), alpha, size=n - 1)
 
 
+def q_flagged(lam, mu=(), xflags=(), yflags=None) -> Poly:
+    """Flagged (skew) quantum Schur determinant
+    det(h~_{lam_i - mu_j - i + j}(X_{xflags_i} - Y_{yflags_i})).
+
+    Row i takes the difference alphabet X_{xflags_i} - Y_{yflags_i}; with
+    yflags None every row takes X_{xflags_i} alone.
+    """
+    lam = perms.check_partition(lam)
+    mu = perms.check_partition(mu)
+    perms.check_flags(lam, xflags)
+    if yflags is not None:
+        if len(yflags) != len(lam):
+            raise ShapeOutOfBox(f"{len(lam)} y flags required, got {len(yflags)}")
+        if any(f < 0 for f in yflags):
+            raise BadFlag("y flags must be nonnegative")
+        yflags = tuple(yflags)
+    return _q_flagged(lam, mu, tuple(xflags), yflags)
+
+
+# suite_vexillary checks rv-flagged, rv-double and dominant-double for each w
+# in turn, and for a dominant w the last two are the same determinant, so one
+# entry serves the third case from the second; the memo depends on that order.
+# Keeping every result raised the default sweep's peak memory by about 1.5 MiB.
+_FLAGGED_MEMO_SIZE = 1
+
+
+@lru_cache(maxsize=_FLAGGED_MEMO_SIZE)
+def _q_flagged(lam, mu, xflags, yflags) -> Poly:
+    if yflags is None:
+        return jacobi_trudi(lambda d, i, j: q_complete(d, xflags[i]), lam, mu)
+    return jacobi_trudi(lambda d, i, j: q_xy_complete(d, xflags[i], yflags[i]), lam, mu)
+
+
 # every memo in this module, all descending from e~: cleared whenever the
 # override changes
 _E_MEMOS = (
@@ -303,6 +339,7 @@ _E_MEMOS = (
     _q_schubert,
     _q_schur,
     _q_monomial,
+    _q_flagged,
 )
 
 
@@ -311,9 +348,9 @@ def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> Non
 
     Every memo derived from e~ (e~, h~, their difference-alphabet forms, the
     top cell and its inner products, single and double quantum Schubert
-    polynomials, quantum Schur functions and quantized monomials) is cleared,
-    so later calls see the override and, once it is removed, the true e~
-    again.  The classical Schubert tables do not depend on e~ and stay.
+    polynomials, quantum Schur functions, quantized monomials and the last
+    flagged determinant) is cleared, so later calls see the override and,
+    once it is removed, the true e~ again.  The classical Schubert tables do not depend on e~ and stay.
     """
     global _override
     _override = fn
@@ -332,25 +369,6 @@ def q_bjs(w: Perm) -> Poly:
         for word in perms.reduced_words(w)
         for b in perms.compatible_sequences(word)
     )
-
-
-def q_flagged(lam, mu=(), xflags=(), yflags=None) -> Poly:
-    """Flagged (skew) quantum Schur determinant
-    det(h~_{lam_i - mu_j - i + j}(X_{xflags_i} - Y_{yflags_i})).
-
-    Row i takes the difference alphabet X_{xflags_i} - Y_{yflags_i}; with
-    yflags None every row takes X_{xflags_i} alone.
-    """
-    lam = perms.check_partition(lam)
-    mu = perms.check_partition(mu)
-    perms.check_flags(lam, xflags)
-    if yflags is None:
-        return jacobi_trudi(lambda d, i, j: q_complete(d, xflags[i]), lam, mu)
-    if len(yflags) != len(lam):
-        raise ShapeOutOfBox(f"{len(lam)} y flags required, got {len(yflags)}")
-    if any(f < 0 for f in yflags):
-        raise BadFlag("y flags must be nonnegative")
-    return jacobi_trudi(lambda d, i, j: q_xy_complete(d, xflags[i], yflags[i]), lam, mu)
 
 
 def q_rv_double(w: Perm) -> Poly:

@@ -484,6 +484,43 @@ def test_flagged_y_flags():
         quantum.q_flagged(lam, xflags=(1, 2), yflags=(1, -1))
 
 
+def test_flagged_memo_serves_dominant_double_from_rv_double():
+    # for a dominant w the rv-double determinant is the dominant one:
+    # flag_theta(w) = (1..l) and the y flags are lam; the one-entry memo serves
+    # the second call
+    info = quantum._q_flagged.cache_info
+    for n in range(2, 6):
+        for w in perms.permutations(n):
+            if not perms.is_dominant(w) or not perms.shape(w):
+                continue
+            rv = quantum.q_rv_double(w)
+            hits = info().hits
+            assert quantum.q_dominant_double(w) == rv, w
+            assert info().hits == hits + 1, w
+            assert info().currsize <= quantum._FLAGGED_MEMO_SIZE
+    # a wrong flag is another key: built afresh, not served the rv-double one
+    w = (3, 2, 1)
+    rv = quantum.q_rv_double(w)
+    misses = info().misses
+    assert quantum.q_flagged((2, 1), xflags=(1, 3), yflags=(2, 1)) != rv
+    assert info().misses == misses + 1
+    # a refused input never enters the memo: the last accepted one stays
+    last = quantum.q_flagged((2, 1), xflags=(2, 2))
+    for lam, mu, xflags, yflags, err in (
+        ((2, 1), (), (1,), None, BadFlag),
+        ((2, 1), (), (0, 2), None, BadFlag),
+        ((2, 1), (), (1, 2), (1,), ShapeOutOfBox),
+        ((2, 1), (), (1, 2), (1, -1), BadFlag),
+        ((2, 1), (1, 1, 1), (2, 2), None, ShapeOutOfBox),
+    ):
+        with pytest.raises(err):
+            quantum.q_flagged(lam, mu, xflags, yflags)
+        assert info().currsize == quantum._FLAGGED_MEMO_SIZE
+    hits = info().hits
+    assert quantum.q_flagged((2, 1), xflags=(2, 2)) is last
+    assert info().hits == hits + 1
+
+
 def test_dominant_double_refuses_other_permutations():
     for w in perms.permutations(4):
         if perms.is_dominant(w):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from qschub import quantum, verify
+from qschub import perms, quantum, verify
 from qschub.poly import parse
 
 
@@ -96,3 +96,24 @@ def test_mutation_sensitivity():
     finally:
         quantum.set_elementary_override(None)
     assert verify.suite_cauchy(3).ok
+
+
+def test_dominant_double_keeps_its_power_past_the_flagged_memo(monkeypatch):
+    # flag_theta reads the nearest later position with a larger code entry
+    # instead of the furthest; with the flagged memo serving dominant-double
+    # from rv-double, the suite still fails exactly the four rv-double cases
+    # whose flag this reading changes, and no other case
+    def nearest(w):
+        c = perms.code(w)
+        out = []
+        for i, ci in enumerate(c):
+            if ci:
+                larger = [j for j in range(i + 1, len(c)) if c[j] > ci]
+                out.append(larger[0] + 1 if larger else i + 1)
+        return tuple(sorted(out))
+
+    monkeypatch.setattr(perms, "flag_theta", nearest)
+    rep = verify.suite_vexillary(5)
+    assert sorted(f["case"] for f in rep.failures) == [
+        f"rv-double w={w}" for w in ("41523", "41532", "51423", "51432")
+    ]
