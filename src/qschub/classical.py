@@ -71,9 +71,13 @@ def schubert(w: Perm) -> Poly:
     return _single_layer(len(w), perms.length(w))[w]
 
 
-@cache
 def schubert_in_y(w: Perm) -> Poly:
     """S_w(y): the Schubert polynomial of w in the y alphabet."""
+    return _schubert_in_y(perms.trim(w))
+
+
+@cache
+def _schubert_in_y(w: Perm) -> Poly:
     return schubert(w).rename_family(X, Y)
 
 

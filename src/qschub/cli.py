@@ -20,7 +20,7 @@ import traceback
 from functools import cache
 
 from . import classical, perms, quantum, verify
-from .errors import ParseError, QschubError, RankMismatch, RankTooLarge
+from .errors import ParseError, QschubError, RankTooLarge
 from .poly import Y, Poly, parse
 from .quantum import DEFAULT_MAX_N
 
@@ -150,8 +150,7 @@ def _cmd_compute(args) -> int:
         n = args.n
         _guard(args, len(w), n)
         if what == "schubert":
-            if n is not None and len(w) > n:
-                raise RankMismatch(f"{w} does not fit in rank {n}")
+            perms.check_fits(w, n)
             return _emit_poly(args, classical.schubert(w), op=what, w=perms.as_text(w))
         if what == "qschubert":
             p = quantum.q_schubert(w, n)

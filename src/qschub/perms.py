@@ -63,6 +63,13 @@ def check_rank(n: int) -> int:
     return n
 
 
+def check_fits(w: Perm, n: int | None) -> Perm:
+    """RankMismatch if w is written in a rank above n; w otherwise (n None: any)."""
+    if n is not None and len(w) > n:
+        raise RankMismatch(f"{w} does not fit in rank {n}")
+    return w
+
+
 def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
@@ -414,6 +421,7 @@ __all__ = [
     "check_partition",
     "check_perm",
     "check_rank",
+    "check_fits",
     "check_flags",
     "code",
     "compatible_sequences",

@@ -17,11 +17,17 @@ with no chain at all.  Each factor has a y variable of its own, so y^a picks
 one term of every factor and P_a = prod_i e~_{i-a_{n-i}}(X_i), for the
 exponents a = (a_1, ..., a_{n-1}), a Lehmer code of S_n less its last 0.
 
+Both families are stable, since e~_k(X_r) does not depend on the rank
+(Fomin, Gelfand and Postnikov): trailing fixed points of w change neither, so
+each is memoized at w without them (perms.trim), as in the classical layer.
+The singles are evaluated at rank n = max(len(w), 4), so the three innermost
+factors below are always there.
+
 No P_a is built: the sum is evaluated by the distributive law, from X_{n-1}
 inward.  The pairs that share a_1 share the factor e~_{n-1-a_1}(X_{n-1}), so
 S~_w = sum_d e~_{n-1-d}(X_{n-1}) * (the sum over the pairs with a_1 = d of
 k_a prod_{i<n-1} e~_{i-a_{n-i}}(X_i)), and that sum is grouped on a_2 at
-X_{n-2} the same way, down to X_3.  There the three innermost factors
+X_{n-2} the same way, down to X_4.  Below it the three innermost factors
 prod_{i<=3} e~_{i-a_{n-i}}(X_i) come from a memo of 24 entries that serves
 every rank (_inner), and each level multiplies into one accumulator
 (poly.nested_sum).  Grouping on a_{n-1} at X_1 first took 1.7 times as long
@@ -43,24 +49,19 @@ column down to the smallest alphabet they can reach, so the value is the same
 and the entries are smaller.  The h~ table q_complete stays on the direct form
 (see there).
 
-Memo policy.  Every memo here is keyed on normalized arguments, holds
-read-only values (a memoized Poly also keeps its default text(), so a repeated
-request skips the render) and descends from e~, so each one is listed in
-_E_MEMOS, which set_elementary_override clears.  The public functions run
-every check before the memo, so a refused input never enters it.  q_schur and
-q_monomial keep results only up to the desk-scale rank DEFAULT_MAX_N and build
-afresh above it: the default identity sweep calls q_schur at ranks 7-8 with no
-repeats, so keeping those would only hold memory.
-q_flagged keeps only its last determinant (functools.lru_cache of size 1):
-suite_vexillary asks for the same one twice in a row for every dominant w, as
-rv-double and then as dominant-double, so the memo depends on that order.
-Keeping every result raised the default sweep's peak memory by about 1.5 MiB
-(8%).
+Memo policy.  Every memo here descends from e~ and is defined under _e_memo,
+which wraps it in functools.lru_cache and lists it in _E_MEMOS for
+set_elementary_override to clear.  Each is keyed on normalized arguments after
+every check, so a refused input never enters it, and holds read-only values (a
+memoized Poly also keeps its default text(), so a repeated request skips the
+render).  q_schur and q_monomial keep results only up to the desk-scale rank
+DEFAULT_MAX_N: the default identity sweep calls q_schur at ranks 7-8 with no
+repeats.  q_flagged keeps only its last determinant (_FLAGGED_MEMO_SIZE).
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from . import classical, perms
@@ -70,7 +71,6 @@ from .errors import (
     NotDominant,
     NotGrassmannian,
     NotRestrictedVexillary,
-    RankMismatch,
     RankTooLarge,
     ShapeOutOfBox,
 )
@@ -86,8 +86,18 @@ DEFAULT_MAX_N = 6
 # inject a corrupted e~ and prove the identity checks actually bite
 _override: Callable[[int, int], Poly | None] | None = None
 
+# every memo in this module, all descending from e~: cleared whenever the
+# override changes
+_E_MEMOS: list = []
 
-@cache
+
+def _e_memo(fn: Callable, maxsize: int | None = None):
+    """fn under functools.lru_cache(maxsize), listed in _E_MEMOS."""
+    _E_MEMOS.append(memo := lru_cache(maxsize)(fn))
+    return memo
+
+
+@_e_memo
 def q_elementary(k: int, r: int) -> Poly:
     """The quantum elementary polynomial e~_k(X_r)."""
     if k < 0 or k > r:
@@ -134,7 +144,7 @@ def e_jacobi_trudi(
     return jacobi_trudi(lambda d, i, j: entry(d, i, r + (j + 1) // 2), lam, size=size)
 
 
-@cache
+@_e_memo
 def q_complete(k: int, r: int) -> Poly:
     """The quantum complete polynomial h~_k(X_r), as an e~ determinant."""
     if k < 0:
@@ -150,7 +160,7 @@ def q_complete(k: int, r: int) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_elementary(d, r + j), (1,) * k)
 
 
-@cache
+@_e_memo
 def q_xy_elementary(m: int, k: int, l: int) -> Poly:
     """e~_m(X_k - Y_l) = sum_j e~_{m-j}(X_k) h_j(Y_l)."""
     return Poly.sum(
@@ -160,7 +170,7 @@ def q_xy_elementary(m: int, k: int, l: int) -> Poly:
     )
 
 
-@cache
+@_e_memo
 def q_xy_complete(m: int, k: int, l: int) -> Poly:
     """h~_m(X_k - Y_l) = sum_j h~_{m-j}(X_k) e_j(Y_l)."""
     return Poly.sum(
@@ -171,7 +181,7 @@ def q_xy_complete(m: int, k: int, l: int) -> Poly:
 # -- the top cell and its nested sums ------------------------------------------
 
 
-@cache
+@_e_memo
 def q_w0_double(n: int) -> Poly:
     """S~_{w_0}(x, y) = prod_{i=1}^{n-1} Delta_i(y_{n-i} | X_i)."""
     got = Poly.const(1)
@@ -180,7 +190,7 @@ def q_w0_double(n: int) -> Poly:
     return got
 
 
-@cache
+@_e_memo
 def _inner(d: tuple[int, int, int]) -> Poly:
     """prod_{i<=3} e~_{i-d_i}(X_i) for d = (d_3, d_2, d_1): the three innermost
     factors of a product P_a, at the exponents of the y's they carry."""
@@ -189,46 +199,38 @@ def _inner(d: tuple[int, int, int]) -> Poly:
 
 
 def _embed(w: Perm, n: int | None) -> Perm:
-    w = perms.check_perm(w)
-    if n is None:
-        return w
-    if len(w) > n:
-        raise RankMismatch(f"{w} does not fit in rank {n}")
-    return perms.cross_embed(w, perms.identity(n - len(w)))
+    return perms.trim(perms.check_fits(perms.check_perm(w), n))
 
 
 def q_double_schubert(w: Perm, n: int | None = None) -> Poly:
-    """S~_w(x, y) at ambient rank n (default: the rank w is written in)."""
+    """S~_w(x, y); n only checks that w fits."""
     return _q_double_schubert(_embed(w, n))
 
 
-@cache
+@_e_memo
 def _q_double_schubert(w: Perm) -> Poly:
     return Poly.sum(
-        _q_schubert(u) * classical.schubert_in_y(v) for u, v in perms.weak_factorizations(w)
+        _q_schubert(perms.trim(u)) * classical.schubert_in_y(v)
+        for u, v in perms.weak_factorizations(w)
     )
 
 
 def q_schubert(w: Perm, n: int | None = None) -> Poly:
-    """The quantum Schubert polynomial S~_w(x) at ambient rank n."""
+    """The quantum Schubert polynomial S~_w(x); n only checks that w fits."""
     return _q_schubert(_embed(w, n))
 
 
-@cache
+@_e_memo
 def _q_schubert(w: Perm) -> Poly:
     # y = 0 keeps only the y-degree-l(v) part of the top cell, sum_a k_a P_a
-    # with k_a = d^y_v(y^a) the coefficient of S_v in y^a
-    n = len(w)
-    if n < 2:
-        return Poly.const(1)
+    # with k_a = d^y_v(y^a) the coefficient of S_v in y^a; evaluated at rank
+    # n >= 4, so that the three innermost factors of every P_a are _inner's
+    n = max(len(w), 4)
+    w = w + tuple(range(len(w) + 1, n + 1))
     v = perms.trim(perms.compose(w, perms.longest(n)))
     pairs = classical._monomial_expansions(n, perms.length(v))[v]
-    if n < 4:
-        # rank n lacks the factors at X_n .. X_3: exponent i at X_i picks e~_0 = 1
-        pairs = [((3, 2)[: 4 - n] + a, k) for a, k in pairs]
-    # a_{j+1} (a[j]) is the exponent of the y that X_{top-j}'s factor carries
-    top = max(n - 1, 3)
-    return nested_sum(pairs, lambda j, d: q_elementary(top - j - d, top - j), _inner, top - 3)
+    # a_{j+1} (a[j]) is the exponent of the y that X_{n-1-j}'s factor carries
+    return nested_sum(pairs, lambda j, d: q_elementary(n - 1 - j - d, n - 1 - j), _inner, n - 4)
 
 
 def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
@@ -238,9 +240,9 @@ def quantize(f: Poly, n: int | None = None, max_n: int = DEFAULT_MAX_N) -> Poly:
     The default n is the largest minimal rank among the support permutations,
     which leaves every deformation term the expansion produces alive.
     RankTooLarge, before any work, when f implies a rank above max_n
-    (classical.implied_rank): the quantum Schubert polynomials run at that
-    rank, whatever n is, and their cost grows fast with it.  A negative n is
-    refused (perms.check_rank).
+    (classical.implied_rank): the quantum Schubert polynomials of its
+    expansion run at ranks up to that one, whatever n is, and their cost grows
+    fast with the rank.  A negative n is refused (perms.check_rank).
     """
     if n is not None:
         perms.check_rank(n)
@@ -269,7 +271,7 @@ def q_schur(lam, r: int, n: int) -> Poly:
     return (_q_schur if n <= DEFAULT_MAX_N else _q_schur.__wrapped__)(lam, r, n)
 
 
-@cache
+@_e_memo
 def _q_schur(lam: perms.Partition, r: int, n: int) -> Poly:
     return e_jacobi_trudi(lambda d, i, m: q_elementary(d, m), perms.conjugate(lam), r, n - r)
 
@@ -288,7 +290,7 @@ def q_monomial(alpha: Sequence[int], n: int) -> Poly:
     return (_q_monomial if n <= DEFAULT_MAX_N else _q_monomial.__wrapped__)(alpha, n)
 
 
-@cache
+@_e_memo
 def _q_monomial(alpha: tuple[int, ...], n: int) -> Poly:
     return jacobi_trudi(lambda d, i, j: q_complete(d, i + 1), alpha, size=n - 1)
 
@@ -319,28 +321,11 @@ def q_flagged(lam, mu=(), xflags=(), yflags=None) -> Poly:
 _FLAGGED_MEMO_SIZE = 1
 
 
-@lru_cache(maxsize=_FLAGGED_MEMO_SIZE)
+@partial(_e_memo, maxsize=_FLAGGED_MEMO_SIZE)
 def _q_flagged(lam, mu, xflags, yflags) -> Poly:
     if yflags is None:
         return jacobi_trudi(lambda d, i, j: q_complete(d, xflags[i]), lam, mu)
     return jacobi_trudi(lambda d, i, j: q_xy_complete(d, xflags[i], yflags[i]), lam, mu)
-
-
-# every memo in this module, all descending from e~: cleared whenever the
-# override changes
-_E_MEMOS = (
-    q_elementary,
-    q_complete,
-    q_xy_elementary,
-    q_xy_complete,
-    q_w0_double,
-    _inner,
-    _q_double_schubert,
-    _q_schubert,
-    _q_schur,
-    _q_monomial,
-    _q_flagged,
-)
 
 
 def set_elementary_override(fn: Callable[[int, int], Poly | None] | None) -> None:
@@ -398,10 +383,8 @@ def q_grassmannian_double(w: Perm, n: int | None = None) -> Poly:
     w = perms.check_perm(w)
     if not perms.is_grassmannian(w):
         raise NotGrassmannian(f"{w} has more than one descent")
-    if n is None:
-        n = len(w)
-    elif len(w) > n:
-        raise RankMismatch(f"{w} does not fit in rank {n}")
+    perms.check_fits(w, n)
+    n = len(w) if n is None else n
     r = perms.grassmannian_descent(w)
     lamc = perms.conjugate(perms.shape(w))
     rowflags = perms.flag_theta(perms.inverse(w)) + (0,) * (n - r)
@@ -419,7 +402,7 @@ def q_factorial_schur(lam, r: int, n: int) -> Poly:
 
 
 def stable_approx(w: Perm, m: int) -> Poly:
-    """S~_{1^m x w} at ambient rank m + |w| (the stable approximation)."""
+    """S~_{1^m x w}, w shifted past m fixed points (the stable approximation)."""
     w = perms.check_perm(w)
     return q_schubert(perms.cross_embed(perms.identity(perms.check_rank(m)), w))
 

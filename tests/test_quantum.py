@@ -136,10 +136,18 @@ def test_top_cell_slices_make_up_the_product():
 
 
 def test_rank_embedding_consistency():
-    # computing w inside a larger rank and killing the extra q's agrees
-    w = (2, 3, 1)
-    big = quantum.q_schubert(perms.cross_embed(w, perms.identity(1)), 4)
-    assert quantum.coeff_window(big, 4, 2) == quantum.coeff_window(quantum.q_schubert(w), 4, 2)
+    # S~_w and S~_w(x, y) are stable: trailing fixed points change neither, and
+    # the padded permutation is the same memo entry
+    memos = quantum._q_schubert, quantum._q_double_schubert
+    for n in range(1, 6):
+        for w in perms.permutations(n):
+            single, double = quantum.q_schubert(w), quantum.q_double_schubert(w)
+            sizes = [memo.cache_info().currsize for memo in memos]
+            for extra in (1, 2):
+                big = perms.cross_embed(w, perms.identity(extra))
+                assert quantum.q_schubert(big, n + extra) == single, big
+                assert quantum.q_double_schubert(big, n + extra) == double, big
+            assert [memo.cache_info().currsize for memo in memos] == sizes, w
     with pytest.raises(RankMismatch):
         quantum.q_schubert((2, 3, 1), 2)
 
