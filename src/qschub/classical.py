@@ -1,12 +1,13 @@
 """Classical Schubert polynomials, divided differences and Schur bases.
 
 Conventions: divided differences act as d_i f = (f - s_i f)/(v_i - v_{i+1}).
-Single Schubert polynomials are peeled from the staircase monomial by d_i
-in x, one length at a time.  Doubles are the Cauchy sums
-S_w(x, y) = sum S_u(x) S_v(y) over the pairs of perms.weak_factorizations(w)
-(v = u w^-1, l(u) + l(v) = l(w)), which equal the y-divided differences of
-prod_{i+j<=n} (x_i + y_j) with d_i^(y) S_w = S_{s_i w}.  Both are stable
-under adding trailing fixed points, and are computed at the minimal rank of w.
+Single Schubert polynomials, in x or in y, descend from the staircase S_{w_0}
+by S_w = d_i S_{w s_i} for the first ascent i of w, each along its own chain.
+Doubles are the Cauchy sums S_w(x, y) = sum S_u(x) S_v(y) over the pairs of
+perms.weak_factorizations(w) (v = u w^-1, l(u) + l(v) = l(w)), which equal
+the y-divided differences of prod_{i+j<=n} (x_i + y_j) with d_i^(y) S_w =
+S_{s_i w}.  Both are stable under adding trailing fixed points, and are
+computed at the minimal rank of w.
 
 Expansion in the Schubert basis uses no polynomial arithmetic: x^a is built
 one factor x_i at a time from 1 = S_id, and Monk's rule (_monk) multiplies a
@@ -28,24 +29,30 @@ from .poly import Poly, X, Y, jacobi_trudi, monomial
 Perm = perms.Perm
 
 
-def staircase(n: int) -> Poly:
-    """x^delta = x1^(n-1) x2^(n-2) ... x_{n-1}."""
-    return monomial([(X, i, n - i) for i in range(1, n)])
+def staircase(n: int, family: int = X) -> Poly:
+    """x^delta = x1^(n-1) x2^(n-2) ... x_{n-1}, or its copy in another family."""
+    return monomial([(family, i, n - i) for i in range(1, n)])
 
 
-@cache
-def _single_layer(n: int, length: int) -> dict:
-    """S_w for every w in S_n of the given length, by peeling right descents
-    from the layer above; the top layer is w_0 alone."""
-    if length == n * (n - 1) // 2:
-        return {perms.longest(n): staircase(n)}
-    layer = {}
-    for w, f in _single_layer(n, length + 1).items():
-        for i in perms.descents(w):
-            v = perms.times_s(w, i)
-            if v not in layer:
-                layer[v] = f.divided_diff(i, X)
-    return layer
+_SINGLES: dict = {X: {}, Y: {}}  # _schubert's memo: {family: {trimmed w: S_w}}
+
+
+def _schubert(w: Perm, family: int) -> Poly:
+    """S_w in one family for a trimmed w: the staircase if w is w_0, else
+    d_i S_{w s_i} for the first ascent i of w (w s_i is trimmed too).  The chain
+    is walked up in a loop to the first memoized w and built back down."""
+    memo = _SINGLES[family]
+    chain = []
+    while w not in memo:
+        if i := next((i for i in range(1, len(w)) if w[i - 1] < w[i]), 0):
+            chain.append((w, i))
+            w = perms.times_s(w, i)
+        else:
+            memo[w] = staircase(len(w), family)
+    f = memo[w]
+    for w, i in reversed(chain):
+        memo[w] = f = f.divided_diff(i, family)
+    return f
 
 
 @cache
@@ -66,19 +73,12 @@ def _monomial_expansions(n: int, length: int) -> dict:
 
 def schubert(w: Perm) -> Poly:
     """The (classical, single) Schubert polynomial of w."""
-    w = perms.check_perm(w)
-    w = perms.trim(w)
-    return _single_layer(len(w), perms.length(w))[w]
+    return _schubert(perms.trim(perms.check_perm(w)), X)
 
 
 def schubert_in_y(w: Perm) -> Poly:
     """S_w(y): the Schubert polynomial of w in the y alphabet."""
-    return _schubert_in_y(perms.trim(w))
-
-
-@cache
-def _schubert_in_y(w: Perm) -> Poly:
-    return schubert(w).rename_family(X, Y)
+    return _schubert(perms.trim(perms.check_perm(w)), Y)
 
 
 def double_schubert(w: Perm) -> Poly:

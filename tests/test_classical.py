@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub import classical, perms
+from qschub.errors import BadPermutation
 from qschub.poly import ONE, Poly, X, Y, ZERO, monomial, parse, x, y
 
 
@@ -31,6 +32,7 @@ def test_staircase_and_top_cell():
     assert classical.staircase(4) == x(1) ** 3 * x(2) ** 2 * x(3)
     assert classical.schubert(perms.longest(4)) == classical.staircase(4)
     assert classical.schubert(perms.identity(5)) == ONE
+    assert classical.staircase(3, Y) == y(1) ** 2 * y(2)
 
 
 def test_divided_difference_recurrence():
@@ -48,6 +50,35 @@ def test_divided_difference_recurrence():
 def test_stability():
     for w in perms.permutations(4):
         assert classical.schubert(perms.cross_embed(w, perms.identity(6))) == classical.schubert(w)
+
+
+def test_singles_in_y_are_the_renamed_singles_in_x():
+    # S_w(y) runs its own chain of y-divided differences, not a renaming
+    for n in range(1, 6):
+        for w in perms.permutations(n):
+            assert classical.schubert_in_y(w) == classical.schubert(w).rename_family(X, Y)
+
+
+def test_rank20_singles_build_only_their_chain():
+    # a cold rank-20 single walks up to w_0 of S_20 and back, nothing more:
+    # C(20, 2) - 1 steps plus w_0 enter the memo
+    top = tuple(range(1, 18))
+    size = len(classical._SINGLES[X])
+    assert classical.schubert(top + (18, 20, 19)) == classical.elem_sym(1, 19)
+    assert len(classical._SINGLES[X]) - size <= 190
+    assert classical.schubert(top + (19, 20, 18)) == classical.elem_sym(2, 19)
+    assert classical.schubert(top + (20, 18, 19)) == classical.complete_sym(2, 18)
+    w = (2, 1) + tuple(range(3, 19)) + (20, 19)
+    assert classical.schubert(w) == x(1) * classical.elem_sym(1, 19)
+
+
+def test_refused_input_never_enters_the_singles_memo():
+    for family, single in ((X, classical.schubert), (Y, classical.schubert_in_y)):
+        memo = classical._SINGLES[family]
+        size = len(memo)
+        with pytest.raises(BadPermutation):
+            single((1, 1))
+        assert len(memo) == size and (1, 1) not in memo
 
 
 def test_double_schubert():
