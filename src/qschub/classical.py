@@ -94,32 +94,51 @@ def _double_schubert(w: Perm) -> Poly:
 # -- symmetric function bases -------------------------------------------------
 
 
-@cache
 def elem_sym(k: int, r: int, family: int = X) -> Poly:
-    """e_k of the first r variables of a family."""
+    """e_k of the first r variables of a family; QschubError for a negative r."""
+    return _elem_sym(k, perms.check_rank(r), family)
+
+
+def complete_sym(k: int, r: int, family: int = X) -> Poly:
+    """h_k of the first r variables of a family; QschubError for a negative r."""
+    return _complete_sym(k, perms.check_rank(r), family)
+
+
+# Both memos are filled bottom-up: a miss first asks for its k at every
+# smaller alphabet, in increasing order, so its recurrence finds them memoized
+# and recurses in k only, never once per variable of the alphabet.
+
+
+@cache
+def _elem_sym(k: int, r: int, family: int) -> Poly:
     if k < 0 or k > r:
         return Poly()
     if k == 0:
         return Poly.const(1)
-    return elem_sym(k, r - 1, family) + Poly.variable(family, r) * elem_sym(
+    for s in range(k, r):
+        _elem_sym(k, s, family)
+    return _elem_sym(k, r - 1, family) + Poly.variable(family, r) * _elem_sym(
         k - 1, r - 1, family
     )
 
 
 @cache
-def complete_sym(k: int, r: int, family: int = X) -> Poly:
-    """h_k of the first r variables of a family."""
+def _complete_sym(k: int, r: int, family: int) -> Poly:
     if k < 0 or (r == 0 and k > 0):
         return Poly()
     if k == 0:
         return Poly.const(1)
-    return complete_sym(k, r - 1, family) + Poly.variable(family, r) * complete_sym(
+    for s in range(1, r):
+        _complete_sym(k, s, family)
+    return _complete_sym(k, r - 1, family) + Poly.variable(family, r) * _complete_sym(
         k - 1, r, family
     )
 
 
 def schur(lam, r: int) -> Poly:
-    """Schur polynomial s_lam(x_1..x_r) via the h-determinant."""
+    """Schur polynomial s_lam(x_1..x_r) via the h-determinant; QschubError for
+    a negative r."""
+    perms.check_rank(r)
     return jacobi_trudi(lambda k, i, j: complete_sym(k, r), perms.check_partition(lam))
 
 

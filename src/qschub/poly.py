@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import accumulate, groupby
 from operator import or_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, Union
 
 from ._kernels import FIELD, MAX_CODES, MAX_EXP, WIDTH, padd, pdivdiff, pmul
 from .errors import (
@@ -359,55 +359,71 @@ def monomial(pairs: Iterable[tuple[int, int, int]], c: int = 1) -> Poly:
 def determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials (empty matrix: 1).
 
-    Laplace expansion along rows, memoized on the set of unused columns —
-    exponentially better than naive expansion on the structured matrices
-    here, and exact since everything stays in Z[x,y,q].  Each minor is one
-    accumulator: every entry times its sub-minor is multiplied into it in
-    place (pmul), with no temporary product.
-
-    The first row multiplies the largest minors and the lower rows build
-    them, so the heavier line should come first.  When the last column has
-    more terms than the first row, the anti-transpose
+    A one-shot Minors table over the matrix's own rows (see there): Laplace
+    expansion along the last column, each sub-minor built once.  The last
+    column multiplies the largest minors and the earlier columns build them,
+    so the heavier line should be expanded at the top.  When the first row
+    has at least as many terms as the last column, the anti-transpose
     B[i][j] = A[n-1-j][n-1-i] is expanded instead: B = J A^T J with J the
-    reversal, so det B = det A, and B's first row is A's last column.
+    reversal, so det B = det A, and B's last column is A's first row.
     """
     n = len(rows)
-    if n == 0:
-        return Poly.const(1)
     if any(len(r) != n for r in rows):
         raise NonSquare(f"matrix is not square: {n} rows, {[len(r) for r in rows]} columns")
-    if sum(len(r[-1]) for r in rows) > sum(len(e) for e in rows[0]):
+    if n and sum(len(e) for e in rows[0]) >= sum(len(r[-1]) for r in rows):
         rows = [[rows[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
-    full = (1 << n) - 1
-    # minor(mask) = det of the submatrix on rows popcount..n-1, columns in mask
-    cache: dict[int, dict] = {0: {0: 1}}
+    return Minors(rows.__getitem__).minor(range(n))
 
-    def minor(mask: int) -> dict:
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        i = n - bin(mask).count("1")
+
+class Minors:
+    """The minors of one matrix whose rows are named by hashable keys.
+
+    row(key) is the row named key: the callable row is called once per key,
+    the first time a minor uses that row.  minor(keys) is the determinant of
+    the named rows, in the order given, against the first len(keys) columns,
+    by Laplace expansion along the last column: the sub-minor of entry (i, c)
+    is the minor of the other keys, kept in order, against the first c
+    columns.  Every such proper sub-minor is memoized on the table, so
+    minors that share rows share their sub-minors; the whole minor is not
+    kept.  Each minor is one accumulator: every entry times its sub-minor is
+    multiplied into it in place (pmul), with no temporary product.  Exact,
+    since everything stays in Z[x,y,q].
+    """
+
+    __slots__ = ("_build", "_rows", "_memo")
+
+    def __init__(self, row: Callable[[Hashable], Sequence[Poly]]):
+        self._build = row
+        self._rows: dict = {}
+        # {keys: kernel dict of the minor}, the empty minor is 1
+        self._memo: dict[tuple, dict] = {(): {0: 1}}
+
+    def minor(self, keys: Iterable[Hashable]) -> Poly:
+        keys = tuple(keys)
+        rows = self._rows
+        for key in keys:
+            if key not in rows:
+                rows[key] = self._build(key)
+        got = self._memo.get(keys)
+        # the copy compacts the slots that cancellations left in the accumulator
+        return Poly(dict(self._expand(keys) if got is None else got))
+
+    def _expand(self, keys: tuple) -> dict:
+        rows, memo = self._rows, self._memo
+        c = len(keys) - 1
         acc: dict = {}
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                continue
-            entry = rows[i][j]._terms
+        sign = -1 if c & 1 else 1
+        for i, key in enumerate(keys):
+            entry = rows[key][c]._terms
             if entry:
-                sub = minor(mask & ~bit)
+                rest = keys[:i] + keys[i + 1 :]
+                sub = memo.get(rest)
+                if sub is None:
+                    sub = memo[rest] = self._expand(rest)
                 if sub:
                     pmul(entry, sub, acc, sign)
             sign = -sign
-        cache[mask] = acc
         return acc
-
-    top = minor(full)
-    # minor refers to itself through its closure cell; break that cycle so the
-    # memo of partial minors is freed now rather than at the next gc pass
-    del minor
-    # the copy compacts the slots that cancellations left in the accumulator
-    return Poly(dict(top))
 
 
 def jacobi_trudi(
@@ -636,6 +652,7 @@ __all__ = [
     "A",
     "MAX_INDEX",
     "MAX_POWER_BITS",
+    "Minors",
     "ONE",
     "Poly",
     "Q",

@@ -108,6 +108,11 @@ def q_elementary(k: int, r: int) -> Poly:
         forced = _override(k, r)
         if forced is not None:
             return forced
+    # the memo is filled bottom-up: e~_k of every smaller alphabet first, in
+    # increasing order, so the recurrence below finds them memoized and
+    # recurses in k only, never once per variable of the alphabet
+    for s in range(k, r):
+        q_elementary(k, s)
     got = q_elementary(k, r - 1) + x(r) * q_elementary(k - 1, r - 1)
     if k >= 2 and r >= 2:
         got = got + q(r - 1) * q_elementary(k - 2, r - 2)

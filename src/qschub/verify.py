@@ -11,10 +11,9 @@ aggregate exit status ignores the conjecture suite.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 
 from . import classical, perms, quantum
-from .poly import A, Poly, X, Y, determinant, jacobi_trudi, monomial, parse, q, x
+from .poly import A, Minors, Poly, X, Y, determinant, jacobi_trudi, monomial, parse, q, x
 
 __all__ = [
     "Report",
@@ -31,14 +30,14 @@ __all__ = [
 ]
 
 
-@dataclass
 class Report:
     """Outcome of one identity suite."""
 
-    suite: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
-    elapsed_ms: int = 0
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.cases = 0
+        self.failures: list[dict] = []
+        self.elapsed_ms = 0
 
     @property
     def ok(self) -> bool:
@@ -59,7 +58,12 @@ class Report:
         return False
 
     def as_json_obj(self) -> dict:
-        return asdict(self)
+        return {
+            "suite": self.suite,
+            "cases": self.cases,
+            "failures": [dict(f) for f in self.failures],
+            "elapsed_ms": self.elapsed_ms,
+        }
 
     def text(self) -> str:
         head = f"suite {self.suite}: {self.cases} cases, " + (
@@ -221,16 +225,12 @@ def suite_schur(n: int) -> Report:
                 )
 
         # s~_lam(X_n') as an h~-determinant with column alphabets X_{n'+1-j}
-        for np_ in range(1, min(n, 4) + 1):
-            for lam in perms.partitions_in_box(np_, 4):
-                if not lam:
-                    continue
-                det = jacobi_trudi(lambda d, i, j: quantum.q_complete(d, np_ - j), lam, size=np_)
-                rep.check(
-                    f"h-determinant lam={lam} n={np_}",
-                    det,
-                    quantum.q_schur(lam, np_, np_ + lam[0]),
-                )
+        for np_, lam, det in _h_determinants(min(n, 4)):
+            rep.check(
+                f"h-determinant lam={lam} n={np_}",
+                det,
+                quantum.q_schur(lam, np_, np_ + lam[0]),
+            )
 
         # dual determinant pair over the 3x3 box
         for lam in perms.partitions_in_box(3, 3):
@@ -239,6 +239,20 @@ def suite_schur(n: int) -> Report:
             lhs, rhs = _dual_determinants(lam)
             rep.check(f"dual-determinants lam={lam}", lhs, rhs)
     return rep
+
+
+def _h_determinants(n: int):
+    """(n', lam, det(h~_{lam_i - i + j}(X_{n'-j}))) for every nonempty lam in
+    the n' x 4 box, n' = 1..n.  For one n' every such determinant is a minor
+    of the matrix M[d][j] = h~_{d+j}(X_{n'-j}) on the rows d = lam_i - i (lam
+    padded to n' parts), so one Minors table per n' builds each shared
+    sub-minor once; it is dropped when its n' is done."""
+    for np_ in range(1, n + 1):
+        table = Minors(lambda d: [quantum.q_complete(d + j, np_ - j) for j in range(np_)])
+        for lam in perms.partitions_in_box(np_, 4):
+            if lam:
+                padded = lam + (0,) * (np_ - len(lam))
+                yield np_, lam, table.minor(padded[i] - i for i in range(np_))
 
 
 def _dual_determinants(lam) -> tuple[Poly, Poly]:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qschub import classical, perms
-from qschub.errors import BadPermutation
+from qschub.errors import BadPermutation, QschubError
 from qschub.poly import ONE, Poly, X, Y, ZERO, monomial, parse, x, y
 
 
@@ -112,6 +112,31 @@ def test_symmetric_functions():
             t = classical.elem_sym(m - j, 3) * classical.complete_sym(j, 3)
             s = s + (t if (m - j) % 2 == 0 else -t)
         assert s == ZERO
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: classical.elem_sym(1, -1),
+        lambda: classical.complete_sym(2, -1),
+        lambda: classical.schur((1,), -2),
+    ],
+    ids=["elem_sym", "complete_sym", "schur"],
+)
+def test_negative_alphabet_is_refused(build):
+    # a negative alphabet size is a typed error, raised before any memo
+    sizes = classical._elem_sym.cache_info().currsize, classical._complete_sym.cache_info().currsize
+    with pytest.raises(QschubError):
+        build()
+    assert (classical._elem_sym.cache_info().currsize, classical._complete_sym.cache_info().currsize) == sizes
+
+
+def test_symmetric_functions_of_a_long_alphabet():
+    # the memos fill bottom-up, so x_1020 (a valid variable) needs no deep
+    # recursion
+    total = Poly.sum(x(i) for i in range(1, 1021))
+    assert classical.elem_sym(1, 1020) == total
+    assert classical.complete_sym(1, 1020) == total
 
 
 def test_schur():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from qschub.poly import (
     MAX_NESTING,
     MAX_POWER_BITS,
     ONE,
+    Minors,
     Poly,
     Q,
     X,
@@ -328,6 +330,32 @@ def test_determinant_frees_its_memo():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_minors_give_the_leibniz_terms():
+    # 16 distinct variables: the determinant is the 24 signed Leibniz terms,
+    # through determinant and through a table whose keys come unsorted
+    m = [[x(4 * i + j + 1) for j in range(4)] for i in range(4)]
+
+    def leibniz(rows) -> Poly:
+        total = Poly()
+        for s in itertools.permutations(range(len(rows))):
+            t = Poly.const(-1 if sum(a > b for a, b in itertools.combinations(s, 2)) % 2 else 1)
+            for i, j in enumerate(s):
+                t = t * rows[i][j]
+            total = total + t
+        return total
+
+    want = leibniz(m)
+    assert len(want) == 24 and sorted(want.terms.values()) == [-1] * 12 + [1] * 12
+    assert determinant(m) == want
+    table = Minors(lambda key: m["abcd".index(key)])
+    # rows c, a, d, b: an odd permutation of the written order
+    assert table.minor("cadb") == leibniz([m[2], m[0], m[3], m[1]]) == -want
+    assert table.minor("abcd") == want
+    # fewer keys take as many leading columns
+    assert table.minor("ba") == leibniz([m[1][:2], m[0][:2]])
+    assert table.minor("") == ONE
 
 
 def test_parse_frees_its_state():

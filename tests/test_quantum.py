@@ -75,6 +75,12 @@ def test_elementary_is_the_tridiagonal_determinant():
         assert determinant(rows) == quantum.delta(r, t), r
 
 
+def test_elementary_of_a_long_alphabet():
+    # the e~ memo fills bottom-up, so x_1020 (a valid variable) needs no deep
+    # recursion; e~_1 has no q term
+    assert quantum.q_elementary(1, 1020) == Poly.sum(x(i) for i in range(1, 1021))
+
+
 def test_degeneration_to_classical_factors():
     for r in range(0, 5):
         for k in range(0, 6):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 from qschub import perms, quantum, verify
-from qschub.poly import parse
+from qschub.poly import Minors, jacobi_trudi, parse
 
 
 def test_report_schema():
@@ -117,3 +119,33 @@ def test_dominant_double_keeps_its_power_past_the_flagged_memo(monkeypatch):
     assert sorted(f["case"] for f in rep.failures) == [
         f"rv-double w={w}" for w in ("41523", "41532", "51423", "51432")
     ]
+
+
+def test_h_table_minors_are_the_h_determinants():
+    # suite_schur's h-determinants at one n' are the minors of one table,
+    # M[d][j] = h~_{d+j}(X_{n'-j}) on the rows d = lam_i - i (lam padded to n'
+    # parts); each must equal the determinant built alone
+    def table(np_):
+        return Minors(lambda d: [quantum.q_complete(d + j, np_ - j) for j in range(np_)])
+
+    def rows(lam, np_):
+        return [p - i for i, p in enumerate(lam + (0,) * (np_ - len(lam)))]
+
+    def alone(lam, np_):
+        return jacobi_trudi(lambda d, i, j: quantum.q_complete(d, np_ - j), lam, size=np_)
+
+    for np_ in (1, 2, 3):
+        t = table(np_)
+        for lam in perms.partitions_in_box(np_, 4):
+            assert t.minor(rows(lam, np_)) == alone(lam, np_), (lam, np_)
+    t = table(4)
+    handful = {(1,), (2, 1), (3, 1, 1), (2, 2, 2, 1), (4, 3, 1), (4, 4, 4, 4)}
+    for lam in perms.partitions_in_box(4, 4):
+        got = t.minor(rows(lam, 4))
+        if lam in handful:
+            assert got == alone(lam, 4), lam
+    # the memory policy: only proper sub-minors are kept, each once, over the
+    # 8 rows d = -3..4, so at most C(8, w) of width w and none of width 4
+    widths = Counter(len(keys) for keys in t._memo)
+    assert widths[0] == 1 and widths[4] == 0 and max(widths) == 3
+    assert widths[1] <= 8 and widths[2] <= 28 and widths[3] <= 56
